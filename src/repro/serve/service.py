@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import queue
 import threading
 import time
@@ -91,6 +92,14 @@ class ServiceUnavailable(RuntimeError):
 
 class ServiceTimeout(RuntimeError):
     """A dispatched request missed the deadline (HTTP 504)."""
+
+
+#: How often :meth:`PredictionService.start` re-checks worker liveness
+#: while it waits for the pool to warm.
+_READY_POLL_S = 0.05
+#: Once one worker has died during warm-up, how long the others get to
+#: finish dying of the same cause, so the error names every casualty.
+_DEATH_GRACE_S = 0.5
 
 
 class _PendingCall:
@@ -283,7 +292,14 @@ class PredictionService:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "PredictionService":
-        """Spawn the pool, wait for warm replicas, open the HTTP endpoint."""
+        """Spawn the pool, wait for warm replicas, open the HTTP endpoint.
+
+        Each worker caps its BLAS thread pool at its share of the cores,
+        ``max(1, cores // workers)``, so the pool never runs more BLAS
+        threads than there are CPUs. Raises :class:`ServiceUnavailable` as
+        soon as a worker dies during warm-up, and ``RuntimeError`` when the
+        pool is not warm within ``warmup_timeout``.
+        """
         if self._started:
             raise RuntimeError("PredictionService already started")
         import multiprocessing
@@ -291,6 +307,11 @@ class PredictionService:
         ctx = self._mp_context or multiprocessing.get_context()
         self._responses = ctx.Queue()
         plan_payload = self.plan.to_dict() if self.num_shards > 1 else None
+        try:
+            cores = len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity API on this platform
+            cores = os.cpu_count() or 1
+        blas_limit = max(1, cores // self.num_workers)
         for worker_id in range(self.num_workers):
             shard = worker_id % self.num_shards
             handle = spawn_worker(
@@ -307,6 +328,7 @@ class PredictionService:
                 drift_window=self.drift_window,
                 drift_min_samples=self.drift_min_samples,
                 profile_hz=self.profile_hz,
+                blas_limit=blas_limit,
                 mp_context=ctx,
             )
             self._workers.append(handle)
@@ -315,12 +337,7 @@ class PredictionService:
             target=self._collect, daemon=True, name="repro-serve-collector"
         )
         self._collector.start()
-        if not self._ready.wait(self.warmup_timeout):
-            self.close()
-            raise RuntimeError(
-                f"worker pool not ready within {self.warmup_timeout}s "
-                f"({self._ready_count}/{self.num_workers} warm)"
-            )
+        self._wait_ready()
         if self.profile_hz:
             self._profiler = SamplingProfiler(
                 interval=1.0 / self.profile_hz
@@ -343,6 +360,30 @@ class PredictionService:
             digest=self.model_digest,
         )
         return self
+
+    def _wait_ready(self) -> None:
+        """Block until every worker is warm; close the pool on failure."""
+        deadline = time.monotonic() + self.warmup_timeout
+        while not self._ready.wait(_READY_POLL_S):
+            if any(not handle.alive() for handle in self._workers):
+                grace = time.monotonic() + _DEATH_GRACE_S
+                for handle in self._workers:
+                    handle.process.join(max(0.0, grace - time.monotonic()))
+                dead = [
+                    f"worker {h.worker_id} exited with code {h.process.exitcode}"
+                    for h in self._workers
+                    if not h.alive()
+                ]
+                self.close()
+                raise ServiceUnavailable(
+                    "worker pool died during warm-up: " + ", ".join(dead)
+                )
+            if time.monotonic() >= deadline:
+                self.close()
+                raise RuntimeError(
+                    f"worker pool not ready within {self.warmup_timeout}s "
+                    f"({self._ready_count}/{self.num_workers} warm)"
+                )
 
     @property
     def url(self) -> str:
@@ -409,8 +450,9 @@ class PredictionService:
             if kind == "close":
                 return
             if kind == "ready":
-                _, worker_id, digest = message
+                _, worker_id, digest, blas_threads = message
                 by_id[worker_id].model_digest = digest
+                by_id[worker_id].blas_threads = blas_threads
                 with self._lock:
                     self._ready_count += 1
                     if self._ready_count >= self.num_workers:
@@ -780,6 +822,7 @@ class PredictionService:
                 "shard": h.shard,
                 "alive": h.alive(),
                 "inflight": h.inflight,
+                "blas_threads": h.blas_threads,
             }
             for h in self._workers
         ]

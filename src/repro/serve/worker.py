@@ -20,7 +20,9 @@ parent → worker:  ``("predict", req_id, [article payload, ...], return_proba,
                   messages ``("profile_start", hz)``, ``("profile_snapshot",
                   req_id)``, ``("profile_stop",)`` — or the stop sentinel
                   ``("stop",)``
-worker → parent:  ``("ready", worker_id, model_digest)`` once warm, then
+worker → parent:  ``("ready", worker_id, model_digest, blas_threads)`` once
+                  warm (``blas_threads`` is the worker's effective BLAS
+                  thread count, ``None`` when it could not be read), then
                   ``("result", worker_id, req_id, [prediction, ...], stats,
                   spans)`` or ``("error", worker_id, req_id, message)``;
                   a ``("profile_snapshot", req_id)`` is answered with
@@ -34,18 +36,76 @@ forward, serialize) parented under the front-end request span; they use
 not comparable across processes. When a drift monitor is armed (the
 checkpoint shipped a baseline), ``stats["drift"]`` carries the worker's
 current window summary back on every result.
+
+BLAS sizing
+-----------
+Every worker inherits the BLAS library's default thread pool (one thread
+per core), so a pool of ``workers`` processes would run ``workers × cores``
+BLAS threads on ``cores`` CPUs. With ``blas_limit`` set (the service always
+sets ``max(1, cores // workers)``), the worker caps its BLAS pool before
+it loads the checkpoint, through :func:`_cap_blas_threads`.
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import multiprocessing
+import os
 import queue as queue_mod
 import time
 from typing import Dict, List, Optional
 
 #: Fallback result when a drained request cannot be answered.
 _STOP = ("stop",)
+
+#: The shared objects mapped into this process, one per line (Linux).
+_PROC_MAPS = "/proc/self/maps"
+#: (setter, getter) thread-count entry points, tried in order: the
+#: scipy-openblas build bundled with numpy wheels (64-bit integer API,
+#: suffixed symbols), then the plain OpenBLAS names.
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def _cap_blas_threads(limit: int) -> Optional[int]:
+    """Cap this process's BLAS thread pool at ``limit``; never raise it.
+
+    The library is found among the shared objects this process has
+    already mapped (numpy maps its BLAS on import) and reopened with
+    ``RTLD_NOLOAD``, so nothing new is ever loaded. Returns the effective
+    thread count read back from the library. When no thread setter is
+    found, logs one warning and returns ``None`` with BLAS left alone.
+    """
+    try:
+        with open(_PROC_MAPS) as maps:
+            fields = [line.split(maxsplit=5) for line in maps]
+    except OSError:
+        fields = []
+    paths = [f[5].strip() for f in fields if len(f) == 6]
+    paths = [p for p in dict.fromkeys(paths) if "blas" in os.path.basename(p)]
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for set_name, get_name in _BLAS_THREAD_SYMBOLS:
+            setter = getattr(lib, set_name, None)
+            getter = getattr(lib, get_name, None)
+            if setter is None or getter is None:
+                continue
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            if limit < getter():
+                setter(max(1, limit))
+            return getter()
+    from ..obs import get_logger
+
+    get_logger("serve.worker").warning("blas_threads_unsized", limit=limit)
+    return None
 
 
 def _drain_batch(requests, first, max_batch_size: int, max_wait: float) -> List:
@@ -90,8 +150,13 @@ def worker_main(
     drift_window: int = 1024,
     drift_min_samples: int = 50,
     profile_hz: Optional[float] = None,
+    blas_limit: Optional[int] = None,
 ) -> None:
-    """Process entry point: warm a session, then serve until ``("stop",)``."""
+    """Process entry point: warm a session, then serve until ``("stop",)``.
+
+    ``blas_limit`` caps the BLAS thread pool before anything computes;
+    ``None`` leaves it as inherited.
+    """
     from ..obs import get_logger
     from ..obs.drift import BaselineProfile, DriftMonitor
     from ..obs.flame import DEFAULT_HZ, SamplingProfiler, tag
@@ -102,6 +167,9 @@ def worker_main(
     from .shard import ShardPlan
 
     log = get_logger("serve.worker")
+    blas_threads = None
+    if blas_limit is not None:
+        blas_threads = _cap_blas_threads(blas_limit)
     detector = load_detector(checkpoint)
     context_ids = None
     if plan_payload is not None:
@@ -131,8 +199,11 @@ def worker_main(
     profiler: Optional[SamplingProfiler] = None
     if profile_hz:
         profiler = SamplingProfiler(interval=1.0 / profile_hz).start()
-    responses.put(("ready", worker_id, digest))
-    log.info("warm", worker=worker_id, shard=shard, digest=digest)
+    responses.put(("ready", worker_id, digest, blas_threads))
+    log.info(
+        "warm", worker=worker_id, shard=shard, digest=digest,
+        blas_threads=blas_threads,
+    )
 
     while True:
         try:
@@ -258,6 +329,8 @@ class WorkerHandle:
     #: outstanding requests (parent-maintained, admission-control input)
     inflight: int = 0
     model_digest: str = ""
+    #: effective BLAS threads the worker reported when warm
+    blas_threads: Optional[int] = None
 
     def alive(self) -> bool:
         return self.process.is_alive()
@@ -286,6 +359,7 @@ def spawn_worker(
     drift_window: int = 1024,
     drift_min_samples: int = 50,
     profile_hz: Optional[float] = None,
+    blas_limit: Optional[int] = None,
     mp_context=None,
 ) -> WorkerHandle:
     """Start one worker process and return its parent-side handle."""
@@ -303,6 +377,7 @@ def spawn_worker(
             "drift_window": drift_window,
             "drift_min_samples": drift_min_samples,
             "profile_hz": profile_hz,
+            "blas_limit": blas_limit,
         },
         daemon=True,
         name=f"repro-serve-worker-{worker_id}",

@@ -1,6 +1,9 @@
 """End-to-end HTTP service: parity, routing, admission control, health."""
 
 import json
+import multiprocessing
+import os
+import shutil
 import time
 import urllib.error
 import urllib.request
@@ -13,7 +16,9 @@ from repro.serve import (
     ArticleRequest,
     InferenceSession,
     PredictionService,
+    ServiceUnavailable,
 )
+from repro.serve.worker import _cap_blas_threads
 
 
 def _post(url, payload, timeout=60.0):
@@ -48,6 +53,17 @@ def checkpoint(request, tmp_path_factory):
     detector = FakeDetector(config).fit(dataset, split)
     path = tmp_path_factory.mktemp("ckpt") / "detector"
     detector.save(path)
+    return path
+
+
+@pytest.fixture
+def corrupt_checkpoint(checkpoint, tmp_path):
+    """A copy of ``checkpoint`` whose ``model.npz`` is cut in half."""
+    path = tmp_path / "corrupt"
+    shutil.copytree(checkpoint, path)
+    weights = path / "model.npz"
+    data = weights.read_bytes()
+    weights.write_bytes(data[: len(data) // 2])
     return path
 
 
@@ -188,6 +204,9 @@ class TestOperationalEndpoints:
         assert health["shards"] == 2
         assert [w["shard"] for w in health["workers"]] == [0, 1]
         assert all(w["alive"] for w in health["workers"])
+        assert [w["blas_threads"] for w in health["workers"]] == (
+            [_expected_blas_threads(2)] * 2
+        )
 
     def test_metrics_exposes_http_counters(self, service, shard_articles):
         _post(service.url, _payload(shard_articles))
@@ -546,3 +565,95 @@ class TestWorkerLoopRobustness:
         # No sentinel ever arrives; the dead parent is noticed on timeout.
         thread.join(3.0)
         assert not thread.is_alive()
+
+
+def _in_fork(fn):
+    """``fn()`` evaluated in a forked child; its result comes back by pipe."""
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=lambda: send.send(fn()), daemon=True)
+    child.start()
+    assert receive.poll(30.0), "forked child sent no result"
+    result = receive.recv()
+    child.join(10.0)
+    assert child.exitcode == 0
+    return result
+
+
+def _inherited_blas_threads():
+    """This process's BLAS thread count (a cap never raises it: read-only)."""
+    return _cap_blas_threads(1 << 30)
+
+
+def _expected_blas_threads(workers):
+    """What each worker of a ``workers``-process pool should report."""
+    inherited = _inherited_blas_threads()
+    if inherited is None:
+        return None
+    cores = len(os.sched_getaffinity(0))
+    return min(inherited, max(1, cores // workers))
+
+
+needs_blas_setter = pytest.mark.skipif(
+    _inherited_blas_threads() is None,
+    reason="numpy's BLAS exports no thread setter",
+)
+
+
+class TestBlasSizing:
+    """Each worker caps its BLAS pool at its share of the cores."""
+
+    @needs_blas_setter
+    def test_cap_in_forked_child_leaves_parent_alone(self):
+        before = _inherited_blas_threads()
+        assert _in_fork(lambda: _cap_blas_threads(1)) == 1
+        assert _inherited_blas_threads() == before
+
+    @needs_blas_setter
+    def test_lower_inherited_count_is_never_raised(self):
+        def cap_one_then_two():
+            _cap_blas_threads(1)
+            return _cap_blas_threads(2)
+
+        assert _in_fork(cap_one_then_two) == 1
+
+    @pytest.mark.parametrize("listed", [True, False], ids=["missing-lib", "no-maps"])
+    def test_no_loadable_setter_returns_none(self, monkeypatch, tmp_path, listed):
+        import repro.serve.worker as worker_mod
+
+        maps = tmp_path / "maps"
+        if listed:
+            maps.write_text(
+                "7f0000000000-7f0000001000 r-xp 00000000 fe:00 1  "
+                f"{tmp_path / 'missing' / 'libopenblas.so.0'}\n"
+                "7f0000001000-7f0000002000 rw-p 00000000 00:00 0\n"
+            )
+        monkeypatch.setattr(worker_mod, "_PROC_MAPS", str(maps))
+        assert _cap_blas_threads(1) is None
+
+    def test_one_worker_pool_keeps_inherited_count(self, checkpoint):
+        # One worker's share is every core, so only an inherited count
+        # above the core count would be lowered.
+        with PredictionService(checkpoint, workers=1, max_wait=0.001) as svc:
+            code, body = _get(svc.url, "/v1/healthz")
+        assert code == 200
+        (worker,) = json.loads(body)["workers"]
+        assert worker["blas_threads"] == _expected_blas_threads(1)
+
+
+class TestDeadPoolStart:
+    def test_start_fails_fast_when_every_worker_dies(self, corrupt_checkpoint):
+        svc = PredictionService(
+            corrupt_checkpoint, workers=2, warmup_timeout=15.0
+        )
+        began = time.monotonic()
+        with pytest.raises(ServiceUnavailable) as info:
+            svc.start()
+        elapsed = time.monotonic() - began
+        assert elapsed < 5.0, f"start() took {elapsed:.1f}s on a dead pool"
+        message = str(info.value)
+        assert "worker 0 exited with code 1" in message
+        assert "worker 1 exited with code 1" in message
+        # The pool was closed on the way out.
+        assert not any(handle.alive() for handle in svc._workers)
+        assert svc._collector is None

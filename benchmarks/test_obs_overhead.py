@@ -2,7 +2,7 @@
 
 The ``repro.obs`` instrumentation is permanently woven into the hot paths
 (trainer epochs/steps, every autograd op); when no tracer or profiler is
-installed each touch point is one global read plus an ``is None`` test.
+installed each touch point is one global read and one test.
 This benchmark quantifies that claim on a real training run:
 
 - **baseline**: ``FakeDetector.fit`` with no tracer and no profiler — the
@@ -12,8 +12,10 @@ This benchmark quantifies that claim on a real training run:
 - **enabled**: fit under an installed :class:`Tracer` *and* a running
   :class:`OpProfiler` — the full-cost path, budgeted at <10%.
 
-Timings take the min over ``REPRO_BENCH_OBS_REPEATS`` runs (default 3) so
-one scheduler hiccup cannot fail the bar. Writes ``results/BENCH_obs.json``.
+The three legs run interleaved within each repeat, so slow machine-wide
+drift biases every leg equally, and timings take the min over
+``REPRO_BENCH_OBS_REPEATS`` repeats (default 3), so one scheduler hiccup
+cannot fail the bar. Writes ``results/BENCH_obs.json``.
 """
 
 from __future__ import annotations
@@ -45,16 +47,16 @@ def _fit_seconds(bench_dataset, bench_split) -> float:
 def test_obs_overhead(bench_dataset, bench_split, tmp_path):
     uninstall_tracer()  # belt and braces: start from the fast path
 
-    baseline = min(_fit_seconds(bench_dataset, bench_split) for _ in range(REPEATS))
-    disabled = min(_fit_seconds(bench_dataset, bench_split) for _ in range(REPEATS))
-
-    enabled_times = []
+    baseline_runs, disabled_runs, enabled_runs = [], [], []
     op_calls = 0.0
     for i in range(REPEATS):
+        baseline_runs.append(_fit_seconds(bench_dataset, bench_split))
+        disabled_runs.append(_fit_seconds(bench_dataset, bench_split))
+
         tracer = install_tracer(Tracer(tmp_path / f"bench_trace_{i}.jsonl"))
         profiler = OpProfiler().start()
         try:
-            enabled_times.append(_fit_seconds(bench_dataset, bench_split))
+            enabled_runs.append(_fit_seconds(bench_dataset, bench_split))
         finally:
             profiler.stop()
             uninstall_tracer()
@@ -63,7 +65,9 @@ def test_obs_overhead(bench_dataset, bench_split, tmp_path):
         op_calls = sum(
             entry["calls"] for phase in snap.values() for entry in phase.values()
         )
-    enabled = min(enabled_times)
+    baseline = min(baseline_runs)
+    disabled = min(disabled_runs)
+    enabled = min(enabled_runs)
 
     report = {
         "repeats": REPEATS,

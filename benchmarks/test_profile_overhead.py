@@ -2,10 +2,10 @@
 
 The continuous profiler costs in two places: the sampler thread walks
 ``sys._current_frames()`` at the configured rate (a per-*process* cost,
-independent of work done), and the op tag hook brackets every instrumented
-autograd op with a push/pop pair so samples carry op ancestry (a per-*op*
-cost paid only while a profiler runs). This benchmark measures both ends
-to end at the default 100 Hz:
+independent of work done), and the profiler, as an op observer, brackets
+every instrumented autograd op with a tag push/pop so samples carry op
+ancestry (a per-*op* cost paid only while a profiler runs). This benchmark
+measures both ends to end at the default 100 Hz:
 
 - **train**: an identical ``FakeDetector.fit`` with and without an armed
   :class:`repro.obs.SamplingProfiler` — budget ≤ 1.05×;

@@ -1,13 +1,13 @@
-"""Tape-sanitizer overhead: sanitized fit() vs the check-hook-off fast path.
+"""Tape-sanitizer overhead: sanitized fit() vs the observer-off fast path.
 
-The sanitizer's touch point is woven into every autograd op alongside the
-profiler hook; with no sanitizer running each op pays one extra global read
-plus an ``is None`` test. With a :class:`~repro.analysis.Sanitizer` active,
+The sanitizer is an op observer on the seam every autograd op reports to
+(:func:`repro.autograd.tensor.add_op_observer`); with no observer installed
+each op pays one test. With a :class:`~repro.analysis.Sanitizer` active,
 every forward output and backward gradient is NaN-scanned and every
 distinct closure-captured array is checksummed at capture and re-verified
 at each step boundary — real work, budgeted rather than free:
 
-- **baseline**: ``FakeDetector.fit`` with no check hook installed;
+- **baseline**: ``FakeDetector.fit`` with no op observer installed;
 - **disabled**: identical (measured twice to bound noise) — budget <2%;
 - **enabled**: ``fit(..., sanitize=True)`` — budget <25%.
 
@@ -22,7 +22,6 @@ import time
 
 from conftest import BENCH_SEED, save_bench_run
 
-from repro.autograd.tensor import set_check_hook
 from repro.core import FakeDetector, FakeDetectorConfig
 
 REPEATS = int(os.environ.get("REPRO_BENCH_ANALYSIS_REPEATS", "3"))
@@ -42,8 +41,6 @@ def _fit(bench_dataset, bench_split, sanitize: bool):
 
 
 def test_sanitizer_overhead(bench_dataset, bench_split):
-    set_check_hook(None)  # belt and braces: start from the fast path
-
     # Interleave the three legs within each repeat so slow machine-wide
     # drift (thermal, co-tenant load) biases every leg equally instead of
     # whichever batch ran last; min-of-repeats then drops the noisy runs.

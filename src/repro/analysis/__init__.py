@@ -11,7 +11,7 @@ Three halves guarding the invariants the paper's math depends on:
   and fork-safety (RA2xx, :mod:`repro.analysis.concurrency`) and a
   tensor-shape abstract interpreter (RA3xx,
   :mod:`repro.analysis.shapes`). CLI: ``repro lint [--pass ...]``.
-- :mod:`repro.analysis.sanitize` — a runtime tape sanitizer hooked into
+- :mod:`repro.analysis.sanitize` — a runtime tape sanitizer observing
   every autograd op: NaN/Inf guard, in-place-mutation detector,
   dead-parameter auditor; plus :mod:`repro.analysis.contracts` shape/dtype
   contract checks for Linear/GRU/GDU layers. CLI: ``repro train

@@ -3,7 +3,7 @@
 The repo's layering is a DAG over top-level subpackages. Lower layers
 must be importable without dragging in anything above them — that is what
 keeps ``autograd`` embeddable, ``obs`` reachable only through its seams
-(the :func:`repro.autograd.tensor.instrument_op` hook layer and the
+(the :func:`repro.autograd.tensor.add_op_observer` registry and the
 ``get_logger``/``trace`` facade), and the serving stack restartable.
 
 ::
@@ -76,7 +76,7 @@ class LayeringRule(ProgramRule):
     title = "import layering violation"
     hint = (
         "move the dependency down a layer, route it through an existing "
-        "seam (the obs logger facade, the autograd hook layer), or defer "
+        "seam (the obs logger facade, the autograd op-observer registry), or defer "
         "the import into the function that needs it"
     )
 

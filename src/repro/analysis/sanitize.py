@@ -1,7 +1,7 @@
 """Runtime tape sanitizer: numeric guards over every autograd op.
 
-Built on the :func:`repro.autograd.tensor.set_check_hook` layer, which
-reports every instrumented tape op's *values* (the produced tensor on
+An op observer (:func:`repro.autograd.tensor.add_op_observer`), which
+sees every instrumented tape op's *values* (the produced tensor on
 forward, the parent gradients on backward). The sanitizer is read-only —
 it never alters an array — so sanitized training is bit-identical to
 unsanitized training; it only adds three guards:
@@ -41,7 +41,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ..autograd.tensor import Tensor, set_check_hook
+from ..autograd.tensor import Tensor, add_op_observer, remove_op_observer
 
 
 class SanitizerError(RuntimeError):
@@ -172,21 +172,19 @@ class Sanitizer:
         # role record the first capture site so a mismatch blames the op
         # whose saved state was corrupted.
         self._fp_seen: Dict[int, Tuple[np.ndarray, Tuple[float, float], str, str]] = {}
-        self._previous = None
         self._running = False
 
     # -- lifecycle ------------------------------------------------------
     def start(self) -> "Sanitizer":
         if self._running:
             raise RuntimeError("Sanitizer already running")
-        self._previous = set_check_hook(self._check)
+        add_op_observer(self)
         self._running = True
         return self
 
     def stop(self) -> "Sanitizer":
         if self._running:
-            set_check_hook(self._previous)
-            self._previous = None
+            remove_op_observer(self)
             self._running = False
             self._fp_seen.clear()
         return self
@@ -235,8 +233,13 @@ class Sanitizer:
         finally:
             self._fp_seen.clear()
 
-    # -- the hook -------------------------------------------------------
-    def _check(self, phase: str, op: str, payload) -> None:
+    # -- the op observer ------------------------------------------------
+    def enter(self, op: str, phase: str) -> None:
+        pass
+
+    def exit(self, op: str, phase: str, payload) -> None:
+        if payload is None:
+            return
         if phase == "forward":
             self._check_forward(op, payload)
         else:
@@ -268,12 +271,9 @@ class Sanitizer:
                     seen[id(arr)] = (arr, _fingerprint(arr), op, f"input {i}")
             self.stats.arrays_registered += 1 + len(out._parents)
 
-    def _check_backward(self, op: str, payload) -> None:
+    def _check_backward(self, op: str, grads) -> None:
         self.stats.backward_ops += 1
         if not self.check_nan:
-            return
-        grads = payload[1]
-        if grads is None:
             return
         for i, grad in enumerate(grads):
             if grad is None:

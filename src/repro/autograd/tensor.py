@@ -19,7 +19,7 @@ Design notes
 from __future__ import annotations
 
 import functools
-from time import perf_counter
+import threading
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -27,73 +27,62 @@ import numpy as np
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
 # ----------------------------------------------------------------------
-# Op-level profiling and sanitizing hooks
+# Op observers
 # ----------------------------------------------------------------------
-#: Global timing hook, installed by :mod:`repro.obs.profiler`. When ``None``
-#: (the default) every instrumented op takes a single ``is None`` fast path;
-#: when set it is called as ``hook(phase, op, seconds)`` with phase
-#: ``"forward"`` or ``"backward"`` for each tape op executed.
-_OP_HOOK: Optional[Callable[[str, str, float], None]] = None
-
-#: Global value-inspection hook, installed by
-#: :class:`repro.analysis.sanitize.Sanitizer`. Called as
-#: ``check("forward", op, out_tensor)`` after each instrumented forward and
-#: as ``check("backward", op, (out_tensor, grads))`` after the matching
-#: backward closure. Unlike the timing hook it sees the produced values, so
-#: it can guard numerics (NaN/Inf) and tape integrity (in-place mutation).
-_CHECK_HOOK: Optional[Callable[[str, str, object], None]] = None
-
-#: Global op *tagging* hook, installed by :mod:`repro.obs.flame`. An
-#: ``(enter, exit)`` pair called as ``enter(op)`` immediately before an
-#: instrumented op body runs and ``exit()`` after it returns, on the
-#: executing thread — unlike the timing hook (which fires post-hoc with a
-#: duration), the tag hook brackets the op *while it is in flight*, which
-#: is what a sampling profiler needs to attribute samples to the op.
-_OP_TAG_HOOK: Optional[
-    "tuple[Callable[[str], None], Callable[[], None]]"
-] = None
+#: Installed op observers, oldest first. The tuple is never mutated, only
+#: swapped whole by :func:`add_op_observer` / :func:`remove_op_observer`, so
+#: an op in flight keeps the set it started with. Empty (the default) means
+#: every instrumented op takes the one-test fast path in :func:`instrument_op`.
+_OBSERVERS: tuple = ()
+#: Serializes installs and removals (each is a read-modify-write of the tuple).
+_OBSERVERS_LOCK = threading.Lock()
 
 
-def set_op_hook(
-    hook: Optional[Callable[[str, str, float], None]],
-) -> Optional[Callable[[str, str, float], None]]:
-    """Install (or clear, with ``None``) the global op-timing hook.
+def add_op_observer(observer) -> None:
+    """Install ``observer`` on every instrumented tape op.
 
-    Returns the previously installed hook so callers can restore it,
-    which makes nested profilers well-behaved.
+    An observer has ``enter(op, phase)`` and ``exit(op, phase, payload)``,
+    with ``phase`` ``"forward"`` or ``"backward"``. ``payload`` is the
+    produced :class:`Tensor` on forward, the gradient tuple on backward, and
+    ``None`` when the op raised. ``enter`` runs in install order and
+    ``exit`` newest first. Every observer whose ``enter`` ran gets its
+    ``exit``, also when the op body or another observer raises; the first
+    exception propagates. The op and memory profilers, the tape sanitizer
+    and the sampling profiler's op tags are all observers, so they compose
+    in any start and stop order.
     """
-    global _OP_HOOK
-    previous = _OP_HOOK
-    _OP_HOOK = hook
-    return previous
+    global _OBSERVERS
+    with _OBSERVERS_LOCK:
+        _OBSERVERS = _OBSERVERS + (observer,)
 
 
-def set_check_hook(
-    hook: Optional[Callable[[str, str, object], None]],
-) -> Optional[Callable[[str, str, object], None]]:
-    """Install (or clear, with ``None``) the global op value-check hook.
-
-    Returns the previous hook so nested sanitizers restore cleanly. The
-    check hook composes with the timing hook: both can be active at once.
-    """
-    global _CHECK_HOOK
-    previous = _CHECK_HOOK
-    _CHECK_HOOK = hook
-    return previous
+def remove_op_observer(observer) -> None:
+    """Uninstall ``observer``, matched by identity (absent is a no-op)."""
+    global _OBSERVERS
+    with _OBSERVERS_LOCK:
+        _OBSERVERS = tuple(o for o in _OBSERVERS if o is not observer)
 
 
-def set_op_tag_hook(
-    hook: Optional["tuple[Callable[[str], None], Callable[[], None]]"],
-) -> Optional["tuple[Callable[[str], None], Callable[[], None]]"]:
-    """Install (or clear, with ``None``) the global op-tagging hook pair.
-
-    Returns the previous pair so nested profilers restore cleanly; the tag
-    hook composes with the timing and check hooks.
-    """
-    global _OP_TAG_HOOK
-    previous = _OP_TAG_HOOK
-    _OP_TAG_HOOK = hook
-    return previous
+def _observed(observers: tuple, op: str, phase: str, body: Callable, /, *args, **kwargs):
+    """Run ``body(*args, **kwargs)`` bracketed by the observers' enter/exit."""
+    entered = 0
+    payload = error = None
+    try:
+        for observer in observers:
+            observer.enter(op, phase)
+            entered += 1
+        payload = body(*args, **kwargs)
+    except BaseException as exc:
+        error = exc
+    for observer in reversed(observers[:entered]):
+        try:
+            observer.exit(op, phase, payload)
+        except BaseException as exc:
+            if error is None:
+                error = exc
+    if error is not None:
+        raise error
+    return payload
 
 
 #: Public name of every op wrapped by :func:`instrument_op`, in registration
@@ -125,10 +114,10 @@ class no_tape:
     graph retained. ``backward()`` on a result raises (nothing requires
     grad), which is the point: this is a forward-only mode for serving.
 
-    The op hooks (profiler / sanitizer / flame op tags) exist to observe
-    the tape, so :func:`instrument_op` skips hook dispatch entirely while
-    the tape is off — an :class:`repro.obs.OpProfiler` legitimately records
-    zero ops inside the block. Re-entrant and exception-safe.
+    The op observers (profilers, sanitizer, flame op tags) exist to observe
+    the tape, so :func:`instrument_op` skips every observer while the tape
+    is off — an :class:`repro.obs.OpProfiler` legitimately records zero ops
+    inside the block. Re-entrant and exception-safe.
     """
 
     __slots__ = ("_previous",)
@@ -145,68 +134,27 @@ class no_tape:
 
 
 def instrument_op(op: str, fn: Callable) -> Callable:
-    """Wrap a tape op so the global hooks observe its forward and backward.
+    """Wrap a tape op so the op observers see its forward and backward.
 
     The forward wrapper also rebinds the produced tensor's ``_backward``
-    closure, so backward time (and backward value checks) land on the op
-    that created the node. With no hook installed the wrapper is two global
-    reads and one comparison.
+    closure, so backward observations land on the op that created the
+    node. The rebound closure does not reference the node, so observing
+    adds no reference cycle. With no observer installed, or the tape off,
+    the wrapper costs one test.
     """
     if op not in INSTRUMENTED_OPS:
         INSTRUMENTED_OPS.append(op)
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
-        if not _TAPE_ENABLED:
-            # No tape → nothing for the hooks to observe (see ``no_tape``).
+        if not _OBSERVERS or not _TAPE_ENABLED:
             return fn(*args, **kwargs)
-        hook = _OP_HOOK
-        check = _CHECK_HOOK
-        op_tag = _OP_TAG_HOOK
-        if hook is None and check is None and op_tag is None:
-            return fn(*args, **kwargs)
-        if op_tag is not None:
-            op_tag[0](op)
-        try:
-            if hook is None:
-                out = fn(*args, **kwargs)
-            else:
-                t0 = perf_counter()
-                out = fn(*args, **kwargs)
-                hook("forward", op, perf_counter() - t0)
-        finally:
-            if op_tag is not None:
-                op_tag[1]()
-        if not isinstance(out, Tensor):
-            return out
-        if check is not None:
-            check("forward", op, out)
-        if out._backward is not None:
+        out = _observed(_OBSERVERS, op, "forward", fn, *args, **kwargs)
+        if isinstance(out, Tensor) and out._backward is not None:
             inner = out._backward
-            # The node reference is only captured when a checker is active:
-            # it creates a benign reference cycle (node -> closure -> node)
-            # that the profiler-only path should not pay for.
-            ref = out if check is not None else None
 
-            def observed_backward(grad, _inner=inner, _op=op, _ref=ref):
-                backward_hook = _OP_HOOK
-                backward_check = _CHECK_HOOK
-                backward_tag = _OP_TAG_HOOK
-                if backward_tag is not None:
-                    backward_tag[0](_op)
-                try:
-                    if backward_hook is None:
-                        grads = _inner(grad)
-                    else:
-                        t1 = perf_counter()
-                        grads = _inner(grad)
-                        backward_hook("backward", _op, perf_counter() - t1)
-                finally:
-                    if backward_tag is not None:
-                        backward_tag[1]()
-                if backward_check is not None and _ref is not None:
-                    backward_check("backward", _op, (_ref, grads))
-                return grads
+            def observed_backward(grad, _inner=inner):
+                return _observed(_OBSERVERS, op, "backward", _inner, grad)
 
             out._backward = observed_backward
         return out

@@ -15,9 +15,9 @@ samples carry *semantic* ancestry, not just code ancestry:
 
 - the open span path of the sampled thread (a lightweight observer on
   :class:`repro.obs.tracing.Tracer` push/pop — ``serve.request`` …), and
-- the autograd op currently executing (an enter/exit hook around every
-  :func:`repro.autograd.tensor.instrument_op`-wrapped op —
-  ``gru_sequence``, ``matmul`` …).
+- the autograd op currently executing (the profiler is an op observer,
+  :func:`repro.autograd.tensor.add_op_observer`, bracketing every
+  instrumented op — ``gru_sequence``, ``matmul`` …).
 
 Both registries are keyed by thread ident rather than ``contextvars``
 because the *sampler thread* must read the state of *other* threads;
@@ -50,7 +50,7 @@ from pathlib import Path
 from time import time
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from ..autograd.tensor import set_op_tag_hook
+from ..autograd.tensor import add_op_observer, remove_op_observer
 from .tracing import set_span_observer
 
 #: Schema tag of one serialized sampling profile.
@@ -303,9 +303,10 @@ class SamplingProfiler:
         into a ``…`` frame so pathological recursion cannot bloat keys.
     tag_context:
         Weave span names and active autograd ops into the folded stacks
-        (installs the tracer observer and the op tag hook while running).
+        (installs the tracer's span observer and itself as an op observer
+        while running).
 
-    One profiler may run per process at a time (the context hooks are
+    One profiler may run per process at a time (the span observer is
     process-global). The profiler is fork-safe: see the module docstring.
     """
 
@@ -330,7 +331,6 @@ class SamplingProfiler:
         self._thread: Optional[threading.Thread] = None
         self._pid: Optional[int] = None
         self._prev_span_observer = None
-        self._prev_op_tag = None
         #: sampling iterations that raised (exposed for tests; a sampler
         #: must never take down the process it observes)
         self.sample_errors = 0
@@ -350,9 +350,12 @@ class SamplingProfiler:
 
         The child inherits the counts dict and the ``running`` flags but
         not the sampler thread; counting the parent's samples into the
-        child's profile would double-attribute every pre-fork stack.
+        child's profile would double-attribute every pre-fork stack. It
+        also inherits the op-observer registry, so a restart in the child
+        would otherwise tag every op twice.
         """
         if self._pid is not None and self._pid != os.getpid():
+            remove_op_observer(self)
             self._counts = {}
             self._samples = 0
             self._active_before = 0.0
@@ -372,7 +375,7 @@ class SamplingProfiler:
         self._stop.clear()
         if self.tag_context:
             self._prev_span_observer = set_span_observer((push_tag, pop_tag))
-            self._prev_op_tag = set_op_tag_hook((push_tag, pop_tag))
+            add_op_observer(self)
         self._thread = threading.Thread(
             target=self._run, daemon=True, name="repro-flame-sampler"
         )
@@ -390,9 +393,8 @@ class SamplingProfiler:
                 self._started_at = 0.0
         if self.tag_context and self._pid is not None:
             set_span_observer(self._prev_span_observer)
-            set_op_tag_hook(self._prev_op_tag)
+            remove_op_observer(self)
             self._prev_span_observer = None
-            self._prev_op_tag = None
         return self
 
     def __enter__(self) -> "SamplingProfiler":
@@ -400,6 +402,13 @@ class SamplingProfiler:
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
+
+    # -- op observer: tag samples with the op in flight -----------------
+    def enter(self, op: str, phase: str) -> None:
+        push_tag(op)
+
+    def exit(self, op: str, phase: str, payload) -> None:
+        pop_tag()
 
     # -- sampling loop --------------------------------------------------
     def _run(self) -> None:

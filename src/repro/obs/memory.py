@@ -1,9 +1,9 @@
 """Tape memory profiler: per-op bytes, live-tensor census, lifetimes.
 
 The op profiler (:mod:`repro.obs.profiler`) made autograd *compute* hot
-spots visible; this module does the same for *memory*. It rides the same
-instrumented-op seam — the value-check hook of
-:func:`repro.autograd.tensor.set_check_hook`, which hands the profiler every
+spots visible; this module does the same for *memory*. It is an op observer
+on the same instrumented-op seam
+(:func:`repro.autograd.tensor.add_op_observer`), which hands it every
 tensor an instrumented op produces (forward) and every gradient array a
 backward closure returns — so no tape op needs re-wrapping.
 
@@ -29,9 +29,9 @@ Usage::
 
 Like the op profiler, the accumulation path is deliberately lock-free
 (dict upserts under the GIL, targeting the single-threaded training loop);
-:meth:`snapshot` materializes consistent copies. The profiler composes with
-an already-installed check hook (e.g. the :mod:`repro.analysis` sanitizer)
-by chaining to it.
+:meth:`snapshot` materializes consistent copies. Like every op observer it
+composes with the others (e.g. the :mod:`repro.analysis` sanitizer) in any
+start order.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..autograd.tensor import set_check_hook
+from ..autograd.tensor import add_op_observer, remove_op_observer
 
 #: snapshot()/to_dict() field order for per-op forward stats.
 _FWD_ALLOCS, _FWD_BYTES, _FWD_LIVE, _FWD_PEAK, _FWD_FREED, _FWD_LIFETIME = range(6)
@@ -53,7 +53,6 @@ class MemoryProfiler:
     """Attributes tape memory traffic to the ops that allocated it."""
 
     def __init__(self):
-        self._previous = None
         self._running = False
         self._tokens = itertools.count(1)
         #: token -> (op, nbytes, shape, dtype, perf_counter at alloc)
@@ -69,14 +68,13 @@ class MemoryProfiler:
     def start(self) -> "MemoryProfiler":
         if self._running:
             raise RuntimeError("MemoryProfiler already running")
-        self._previous = set_check_hook(self._check)
+        add_op_observer(self)
         self._running = True
         return self
 
     def stop(self) -> "MemoryProfiler":
         if self._running:
-            set_check_hook(self._previous)
-            self._previous = None
+            remove_op_observer(self)
             self._running = False
         return self
 
@@ -98,11 +96,13 @@ class MemoryProfiler:
         self.live_bytes = 0
         self.peak_live_bytes = 0
 
-    # -- the hot path ---------------------------------------------------
-    def _check(self, phase: str, op: str, payload) -> None:
-        previous = self._previous
-        if previous is not None:
-            previous(phase, op, payload)
+    # -- the hot path (op observer) -------------------------------------
+    def enter(self, op: str, phase: str) -> None:
+        pass
+
+    def exit(self, op: str, phase: str, payload) -> None:
+        if payload is None:
+            return
         if phase == "forward":
             self._record_forward(op, payload)
         else:
@@ -133,10 +133,7 @@ class MemoryProfiler:
             # immediately freed rather than pinning them live forever.
             self._freed(token)
 
-    def _record_backward(self, op: str, payload) -> None:
-        _tensor, grads = payload
-        if grads is None:
-            return
+    def _record_backward(self, op: str, grads) -> None:
         nbytes = 0
         count = 0
         for grad in grads:

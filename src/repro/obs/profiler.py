@@ -1,10 +1,10 @@
 """Autograd op profiler: wall time and call counts per tape op.
 
-Hooks :func:`repro.autograd.tensor.set_op_hook`, which every instrumented
-tape op (matmul, sigmoid, tanh, concat, gather_segment_mean, …) reports to
+An op observer (:func:`repro.autograd.tensor.add_op_observer`) on every
+instrumented tape op (matmul, sigmoid, tanh, concat, gather_segment_mean, …),
 for both the forward call and the backward closure it produced. When no
-profiler is running the ops take an un-instrumented fast path, so the
-disabled overhead is one global read per op.
+observer is installed the ops take an un-instrumented fast path, so the
+disabled overhead is one global test per op.
 
 Usage::
 
@@ -12,16 +12,18 @@ Usage::
         detector.fit(dataset, split)
     print(prof.table())
 
-The accumulation path is deliberately lock-free (a dict upsert per op,
-safe under the GIL for the single-threaded training loop this targets);
-:meth:`snapshot` materializes a consistent copy.
+The accumulation path is deliberately lock-free (a stack of start times
+and a dict upsert per op, safe under the GIL for the single-threaded
+training loop this targets); :meth:`snapshot` materializes a consistent
+copy.
 """
 
 from __future__ import annotations
 
+from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
-from ..autograd.tensor import set_op_hook
+from ..autograd.tensor import add_op_observer, remove_op_observer
 
 PHASES = ("forward", "backward")
 
@@ -30,23 +32,23 @@ class OpProfiler:
     """Accumulates per-(phase, op) call counts and wall seconds."""
 
     def __init__(self):
-        # (phase, op) -> [calls, seconds]; mutated in the hot hook.
+        # (phase, op) -> [calls, seconds]; mutated on every observed op.
         self._stats: Dict[Tuple[str, str], List[float]] = {}
-        self._previous = None
+        # perf_counter at each open op's enter; nested ops push and pop.
+        self._starts: List[float] = []
         self._running = False
 
     # -- lifecycle ------------------------------------------------------
     def start(self) -> "OpProfiler":
         if self._running:
             raise RuntimeError("OpProfiler already running")
-        self._previous = set_op_hook(self._record)
+        add_op_observer(self)
         self._running = True
         return self
 
     def stop(self) -> "OpProfiler":
         if self._running:
-            set_op_hook(self._previous)
-            self._previous = None
+            remove_op_observer(self)
             self._running = False
         return self
 
@@ -63,8 +65,14 @@ class OpProfiler:
     def reset(self) -> None:
         self._stats = {}
 
-    # -- the hot path ---------------------------------------------------
-    def _record(self, phase: str, op: str, seconds: float) -> None:
+    # -- the hot path (op observer) -------------------------------------
+    def enter(self, op: str, phase: str) -> None:
+        self._starts.append(perf_counter())
+
+    def exit(self, op: str, phase: str, payload) -> None:
+        seconds = perf_counter() - self._starts.pop()
+        if payload is None:
+            return  # the op raised: not a completed call
         entry = self._stats.get((phase, op))
         if entry is None:
             self._stats[(phase, op)] = [1, seconds]

@@ -29,3 +29,10 @@ def finite_difference_check(func, tensors, eps: float = 1e-6, tol: float = 1e-5)
             num_flat[i] = (plus - minus) / (2 * eps)
         err = np.abs(analytic - numeric).max()
         assert err < tol, f"gradient mismatch {err} for tensor of shape {t.shape}"
+
+
+def op_observers() -> tuple:
+    """The op observers installed on the tensor engine, oldest first."""
+    from repro.autograd import tensor
+
+    return tensor._OBSERVERS

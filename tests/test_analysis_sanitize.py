@@ -3,6 +3,8 @@ and a clean sanitized run must be bit-identical to an unsanitized one."""
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,8 @@ from repro.autograd.tensor import Tensor
 from repro.core.config import FakeDetectorConfig
 from repro.core.gdu import GDU
 from repro.core.trainer import FakeDetector
+from repro.obs import MemoryProfiler, OpProfiler
+from tests.helpers import op_observers
 
 pytestmark = [
     pytest.mark.analysis,
@@ -157,27 +161,49 @@ class TestMutationDetector:
 
 
 # ----------------------------------------------------------------------
-# Hook lifecycle
+# Observer lifecycle
 # ----------------------------------------------------------------------
 class TestLifecycle:
     def test_hook_installed_and_restored(self):
-        from repro.autograd import tensor as tensor_mod
+        x = Tensor(np.array([-1.0]), requires_grad=True)
+        with pytest.raises(NumericalFaultError), Sanitizer():
+            x.log()
+        assert op_observers() == ()
+        x.log()  # no longer guarded once stopped
 
-        assert tensor_mod._CHECK_HOOK is None
-        with Sanitizer():
-            assert tensor_mod._CHECK_HOOK is not None
-        assert tensor_mod._CHECK_HOOK is None
-
-    def test_nested_sanitizers_restore_previous(self):
+    def test_nested_sanitizers_compose(self):
         outer = Sanitizer().start()
         inner = Sanitizer().start()
-        from repro.autograd import tensor as tensor_mod
-
-        assert tensor_mod._CHECK_HOOK == inner._check
-        inner.stop()
-        assert tensor_mod._CHECK_HOOK == outer._check
+        try:
+            (Tensor(np.ones(2), requires_grad=True) * 2.0).sum().backward()
+        finally:
+            inner.stop()
+        assert inner.stats.forward_ops == outer.stats.forward_ops == 2
+        assert inner.stats.backward_ops == outer.stats.backward_ops == 2
+        Tensor(np.ones(2)).sum()  # only the outer one is still running
         outer.stop()
-        assert tensor_mod._CHECK_HOOK is None
+        assert (inner.stats.forward_ops, outer.stats.forward_ops) == (2, 3)
+        assert op_observers() == ()
+
+    @pytest.mark.parametrize("stop_order", list(itertools.permutations(range(3))))
+    @pytest.mark.parametrize("start_order", list(itertools.permutations(range(3))))
+    def test_tools_stop_in_any_order(self, start_order, stop_order):
+        tools = [Sanitizer(), MemoryProfiler(), OpProfiler()]
+        for i in start_order:
+            tools[i].start()
+        x = Tensor(np.array([-1.0]), requires_grad=True)
+        for i in stop_order:
+            if tools[0].running:
+                with pytest.raises(NumericalFaultError):
+                    x.log()
+            else:
+                x.log()  # a stopped sanitizer guards nothing
+            tools[i].stop()
+            assert op_observers() == tuple(tools[j] for j in start_order if tools[j].running)
+        memory, profiler = tools[1], tools[2]
+        # Each profiler saw every log() issued while it ran, sanitizer or not.
+        assert memory.snapshot()["forward"]["log"]["allocs"] == stop_order.index(1) + 1
+        assert profiler.snapshot()["forward"]["log"]["calls"] == stop_order.index(2) + 1
 
     def test_double_start_rejected(self):
         sanitizer = Sanitizer().start()
@@ -188,7 +214,7 @@ class TestLifecycle:
             sanitizer.stop()
 
     def test_no_overhead_structures_without_hook(self):
-        # Without a check hook, backward closures must not capture the node.
+        # Without an observer, backward closures are the ops' own.
         x = Tensor(np.ones(2), requires_grad=True)
         y = x * 2.0
         y.sum().backward()
@@ -296,17 +322,16 @@ class TestTrainerIntegration:
         assert sanitized.record.grad_norms == plain.record.grad_norms
 
     def test_sanitizer_uninstalled_after_fit(self, tiny_dataset, tiny_split):
-        from repro.autograd import tensor as tensor_mod
-
         config = FakeDetectorConfig(epochs=1, log_every=0)
-        FakeDetector(config).fit(tiny_dataset, tiny_split, sanitize=True)
-        assert tensor_mod._CHECK_HOOK is None
+        with MemoryProfiler() as memory:
+            FakeDetector(config).fit(tiny_dataset, tiny_split, sanitize=True)
+            assert op_observers() == (memory,)
+        assert memory.snapshot()["forward"]  # it saw the sanitized steps
+        assert op_observers() == ()
 
     def test_sanitizer_uninstalled_after_training_fault(
         self, tiny_dataset, tiny_split, monkeypatch
     ):
-        from repro.autograd import tensor as tensor_mod
-
         def boom(*args, **kwargs):
             raise RuntimeError("injected training fault")
 
@@ -314,4 +339,4 @@ class TestTrainerIntegration:
         config = FakeDetectorConfig(epochs=1, log_every=0)
         with pytest.raises(RuntimeError, match="injected"):
             FakeDetector(config).fit(tiny_dataset, tiny_split, sanitize=True)
-        assert tensor_mod._CHECK_HOOK is None
+        assert op_observers() == ()

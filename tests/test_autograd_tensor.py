@@ -1,11 +1,15 @@
 """Unit tests for the Tensor autodiff core: ops, broadcasting, backward."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.autograd import Tensor, concatenate, ones, randn, stack, where, zeros
+from repro.autograd.tensor import add_op_observer, no_tape, remove_op_observer
 
-from tests.helpers import finite_difference_check
+from tests.helpers import finite_difference_check, op_observers
 
 
 class TestConstruction:
@@ -308,3 +312,121 @@ class TestNonlinearities:
     def test_tanh_range(self, rng):
         out = Tensor(rng.standard_normal(100) * 10).tanh()
         assert np.all(np.abs(out.data) <= 1.0)
+
+
+class _Recorder:
+    """Op observer appending ``(name, event, op, phase)`` to a shared log."""
+
+    def __init__(self, name, log, fail_on=None):
+        self.name, self.log, self.fail_on = name, log, fail_on
+
+    def enter(self, op, phase):
+        self.log.append((self.name, "enter", op, phase))
+        if self.fail_on == "enter":
+            raise KeyError(self.name)
+
+    def exit(self, op, phase, payload):
+        self.log.append((self.name, "exit", op, phase, payload))
+        if self.fail_on == "exit":
+            raise KeyError(self.name)
+
+
+@pytest.fixture()
+def observe():
+    """Install recorders for one test; uninstalls whatever is left."""
+    installed = []
+
+    def install(*recorders):
+        for recorder in recorders:
+            add_op_observer(recorder)
+            installed.append(recorder)
+
+    yield install
+    for recorder in installed:
+        remove_op_observer(recorder)
+    assert op_observers() == ()
+
+
+class TestOpObservers:
+    def test_enter_in_install_order_exit_newest_first(self, observe):
+        log = []
+        observe(_Recorder("a", log), _Recorder("b", log))
+        x = Tensor([2.0], requires_grad=True)
+        out = x * 3.0
+        out.backward()
+        events = [(name, event, phase) for name, event, _op, phase, *_ in log]
+        assert events == [
+            ("a", "enter", "forward"), ("b", "enter", "forward"),
+            ("b", "exit", "forward"), ("a", "exit", "forward"),
+            ("a", "enter", "backward"), ("b", "enter", "backward"),
+            ("b", "exit", "backward"), ("a", "exit", "backward"),
+        ]
+        assert log[3][4] is out  # forward payload: the produced tensor
+        grads = log[7][4]  # backward payload: the gradient tuple
+        assert isinstance(grads, tuple) and grads[0].tolist() == [3.0]
+
+    def test_every_entered_observer_exits_when_the_op_raises(self, observe):
+        log = []
+        observe(_Recorder("a", log), _Recorder("b", log))
+        a = Tensor(np.ones((2, 3)))
+        with pytest.raises(ValueError):
+            a @ a
+        assert [(name, event) for name, event, *_ in log] == [
+            ("a", "enter"), ("b", "enter"), ("b", "exit"), ("a", "exit"),
+        ]
+        assert log[2][4] is None and log[3][4] is None  # no payload
+
+    def test_first_exit_exception_propagates_and_the_rest_still_exit(self, observe):
+        log = []
+        observe(_Recorder("a", log, fail_on="exit"), _Recorder("b", log, fail_on="exit"))
+        with pytest.raises(KeyError, match="b"):
+            Tensor([1.0]) + 1.0
+        assert [(name, event) for name, event, *_ in log][-2:] == [("b", "exit"), ("a", "exit")]
+
+    def test_failed_enter_skips_the_op_and_exits_only_the_entered(self, observe):
+        log = []
+        observe(_Recorder("a", log), _Recorder("b", log, fail_on="enter"), _Recorder("c", log))
+        with pytest.raises(KeyError, match="b"):
+            Tensor([1.0]) + 1.0
+        assert [(name, event) for name, event, *_ in log] == [
+            ("a", "enter"), ("b", "enter"), ("a", "exit"),
+        ]
+
+    def test_no_tape_bypasses_every_observer(self, observe):
+        log = []
+        observe(_Recorder("a", log))
+        with no_tape():
+            Tensor([1.0], requires_grad=True) * 2.0
+        assert log == []
+
+    def test_remove_by_identity(self, observe):
+        log = []
+        first, second = _Recorder("a", log), _Recorder("a", log)
+        observe(first, second)
+        remove_op_observer(first)
+        remove_op_observer(first)  # absent: a no-op
+        assert op_observers() == (second,)
+
+    def test_concurrent_installs_lose_no_update(self):
+        errors = []
+
+        def churn():
+            for _ in range(300):
+                observer = _Recorder("t", [])
+                add_op_observer(observer)
+                if not any(o is observer for o in op_observers()):
+                    errors.append("lost add")
+                remove_op_observer(observer)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=churn) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and op_observers() == ()

@@ -57,6 +57,19 @@ class TestCommands:
         assert "article" in out and "bi-acc=" in out
         assert ckpt.exists()
 
+    def test_train_profile_memory_with_sanitize(self, capsys):
+        code = main([
+            "train", "--scale", "0.01", "--seed", "3", "--epochs", "2",
+            "--explicit-dim", "30", "--max-seq-len", "10",
+            "--profile-memory", "--sanitize",
+        ])
+        assert code == 0
+        err = capsys.readouterr().err
+        table = err[err.index("memory profile"):].splitlines()
+        footer = next(i for i, line in enumerate(table) if "peak live" in line)
+        assert footer > 2, "\n".join(table)  # op rows between header and footer
+        assert "peak live 0.00 MiB" not in table[footer]
+
     def test_evaluate_subset(self, capsys):
         code = main([
             "evaluate", "--scale", "0.01", "--seed", "3",

@@ -3,7 +3,7 @@
 The contract under test (docs/performance.md "No-tape inference"):
 ``repro.autograd.no_tape`` disables every piece of autograd bookkeeping —
 no parent tuples, no backward closures, no ``requires_grad`` propagation,
-and nothing for the op hooks (profiler / sanitizer / flame tags) to
+and nothing for the op observers (profilers / sanitizer / flame tags) to
 observe — while forward *values* stay bit-identical to the taped path.
 ``InferenceSession`` runs all its forwards inside the context.
 """
@@ -64,7 +64,7 @@ class TestContextSemantics:
         assert (a * 2).requires_grad
 
     def test_profiler_hook_sees_zero_ops(self, rng):
-        """Regression: no tape nodes (and no hook events) inside the context."""
+        """Regression: no tape nodes (and no observer events) inside the context."""
         a = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
         with OpProfiler() as profiler:
             with no_tape():

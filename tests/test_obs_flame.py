@@ -5,12 +5,15 @@ import multiprocessing
 import threading
 import time
 
+import numpy as np
 import pytest
 
-from repro.autograd.tensor import Tensor, set_op_tag_hook
+from repro.analysis import NumericalFaultError, Sanitizer
+from repro.autograd.tensor import Tensor, add_op_observer, remove_op_observer
 from repro.obs import (
     PROFILE_DIFF_SCHEMA,
     PROFILE_SCHEMA,
+    OpProfiler,
     Profile,
     SamplingProfiler,
     Tracer,
@@ -27,6 +30,7 @@ from repro.obs import (
     write_flamegraph,
 )
 from repro.obs.flame import pop_tag, push_tag
+from tests.helpers import op_observers
 
 pytestmark = pytest.mark.profile
 
@@ -140,42 +144,71 @@ class TestSamplingProfiler:
         )
 
     def test_restores_previous_hooks_on_stop(self):
-        calls = []
-        previous = set_op_tag_hook((lambda op: calls.append(op), lambda: None))
-        try:
-            profiler = SamplingProfiler(interval=0.01)
-            with profiler:
+        with OpProfiler() as ops:
+            with SamplingProfiler(interval=0.01):
                 pass
             (Tensor([1.0], requires_grad=True) * 2.0).backward()
-            assert calls  # the pre-existing hook is back in place
-        finally:
-            set_op_tag_hook(previous)
+        assert ops.snapshot()["backward"]["mul"]["calls"] == 1
+        assert op_observers() == ()
+
+
+class _TagProbe:
+    """Op observer recording the tag stack each op body sees."""
+
+    def __init__(self):
+        self.seen = []
+
+    def enter(self, op, phase):
+        self.seen.append((phase, current_tags()))
+
+    def exit(self, op, phase, payload):
+        pass
 
 
 class TestOpTagHook:
     def test_enter_exit_bracket_forward_and_backward(self):
-        events = []
-        previous = set_op_tag_hook(
-            (lambda op: events.append(("enter", op)),
-             lambda: events.append(("exit", None)))
-        )
-        try:
-            out = Tensor([2.0], requires_grad=True) * Tensor([3.0])
-            out.backward()
-        finally:
-            set_op_tag_hook(previous)
-        entered = [op for kind, op in events if kind == "enter"]
-        assert "mul" in entered
-        # Balanced: every enter has a matching exit.
-        assert len(events) == 2 * len(entered)
+        probe = _TagProbe()
+        with SamplingProfiler(interval=0.01):
+            add_op_observer(probe)  # enters after the profiler's push
+            try:
+                out = Tensor([2.0], requires_grad=True) * Tensor([3.0])
+                out.backward()
+            finally:
+                remove_op_observer(probe)
+            assert current_tags() == ()  # balanced
+        assert probe.seen == [("forward", ("mul",)), ("backward", ("mul",))]
 
     def test_hook_cleared_leaves_fast_path(self):
-        previous = set_op_tag_hook(None)
+        with SamplingProfiler(interval=0.01):
+            pass
+        assert op_observers() == ()
+        a = Tensor([2.0], requires_grad=True)
+        (a * Tensor([3.0])).backward()  # no observer: the undecorated path
+        assert a.grad.tolist() == [3.0]
+
+    def test_tags_balanced_when_op_raises(self):
+        a = Tensor(np.ones((2, 3)), requires_grad=True)
+        with SamplingProfiler(interval=0.01):
+            with tag("step"), pytest.raises(ValueError):
+                a @ a  # shape mismatch raises inside the op body
+            assert current_tags() == ()
+
+    @pytest.mark.parametrize("sanitizer_first", [True, False])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_tags_balanced_when_sanitizer_raises(self, sanitizer_first):
+        tools = [Sanitizer(), SamplingProfiler(interval=0.01)]
+        if not sanitizer_first:
+            tools.reverse()
+        for tool in tools:
+            tool.start()
         try:
-            out = Tensor([2.0], requires_grad=True) * Tensor([3.0])
-            out.backward()  # no hooks: must run the undecorated path
+            with pytest.raises(NumericalFaultError):
+                Tensor(np.array([-1.0]), requires_grad=True).log()
+            assert current_tags() == ()
         finally:
-            set_op_tag_hook(previous)
+            for tool in tools:
+                tool.stop()
+        assert op_observers() == ()
 
 
 class TestProfile:

@@ -5,9 +5,29 @@ import gc
 import numpy as np
 import pytest
 
+from repro.analysis import Sanitizer
 from repro.autograd import Tensor
 from repro.core.gdu import GDU
 from repro.obs import MemoryProfiler, render_memory
+from tests.helpers import op_observers
+
+
+def _gdu_step() -> None:
+    """Forward and backward through one GDU; the graph dies on return."""
+    rng = np.random.default_rng(1)
+    gdu = GDU(input_dim=6, hidden_dim=4, rng=rng)
+    x, z, t = (
+        Tensor(rng.normal(size=(5, n)), requires_grad=True) for n in (6, 4, 4)
+    )
+    (gdu(x, z, t) * 2.0).sum().backward()
+
+
+def _bytes_by_op(prof: MemoryProfiler) -> dict:
+    return {
+        (phase, op): (stats["allocs"], stats["bytes"])
+        for phase, ops in prof.snapshot().items()
+        for op, stats in ops.items()
+    }
 
 
 @pytest.fixture()
@@ -89,6 +109,16 @@ class TestLiveTracking:
         assert profiler.peak_live_bytes == peak_with_live
         assert profiler.live_bytes < peak_with_live
 
+    def test_graph_freed_without_the_cycle_collector(self):
+        gc.disable()
+        try:
+            with MemoryProfiler() as prof:
+                _gdu_step()
+                assert prof.peak_live_bytes > 0
+            assert prof.live_bytes == 0  # refcounting alone freed the graph
+        finally:
+            gc.enable()
+
     def test_census_groups_by_shape_and_dtype(self, profiler):
         a = Tensor(np.ones((4, 4)))
         kept = [a + a, a + a, a + a]
@@ -115,17 +145,19 @@ class TestLifecycleAndRendering:
         assert prof.snapshot()["forward"] == {}
 
     def test_composes_with_previous_hook(self):
-        from repro.autograd.tensor import set_check_hook
+        with Sanitizer() as sanitizer, MemoryProfiler() as prof:
+            Tensor(np.ones(3)) + Tensor(np.ones(3))
+        assert sanitizer.stats.forward_ops == 1  # the earlier observer still ran
+        assert prof.snapshot()["forward"]["add"]["allocs"] == 1.0
+        assert op_observers() == ()
 
-        seen = []
-        previous = set_check_hook(lambda phase, op, payload: seen.append(op))
-        try:
-            with MemoryProfiler() as prof:
-                Tensor(np.ones(3)) + Tensor(np.ones(3))
-            assert "add" in seen  # the chained-to hook still fired
-            assert prof.snapshot()["forward"]["add"]["allocs"] == 1.0
-        finally:
-            set_check_hook(previous)
+    def test_same_bytes_when_started_before_a_sanitizer(self):
+        with MemoryProfiler() as alone:
+            _gdu_step()
+        with MemoryProfiler() as prof, Sanitizer():
+            _gdu_step()
+        assert _bytes_by_op(prof) == _bytes_by_op(alone)
+        assert alone.snapshot()["forward"]  # the step did allocate
 
     def test_to_dict_and_render(self, profiler):
         Tensor(np.ones((8, 8))) + Tensor(np.ones((8, 8)))

@@ -1,18 +1,30 @@
-"""Autograd op profiler: attribution on a tiny known graph, hook lifecycle,
+"""Autograd op profiler: attribution on a tiny known graph, observer lifecycle,
 zero-cost disabled path, and table rendering."""
 
 import numpy as np
 import pytest
 
 from repro.autograd import Tensor
-from repro.autograd.tensor import set_op_hook
+from repro.autograd import tensor as tensor_mod
 from repro.obs import OpProfiler, render_profile
+from tests.helpers import op_observers
 
 
 @pytest.fixture(autouse=True)
-def _no_leftover_hook():
+def _no_leftover_observer():
     yield
-    set_op_hook(None)
+    assert op_observers() == ()
+
+
+def _step() -> None:
+    """Three ops forward and three backward: six op calls."""
+    (Tensor(np.ones(3), requires_grad=True) * 2.0).tanh().sum().backward()
+
+
+def _calls(prof: OpProfiler) -> float:
+    return sum(
+        entry["calls"] for phase in prof.snapshot().values() for entry in phase.values()
+    )
 
 
 class TestAttribution:
@@ -85,12 +97,38 @@ class TestLifecycle:
             prof.stop()
 
     def test_stop_restores_previous_hook(self):
-        calls = []
-        set_op_hook(lambda phase, op, s: calls.append(op))
-        with OpProfiler():
-            pass
-        Tensor(np.ones(2), requires_grad=True).sum()
-        assert calls == ["sum"]  # the outer hook is back after stop()
+        with OpProfiler() as outer:
+            with OpProfiler():
+                pass
+            Tensor(np.ones(2), requires_grad=True).sum()
+        assert _calls(outer) == 1  # the outer profiler kept observing
+
+    def test_nested_profilers_each_count_their_window(self):
+        with OpProfiler() as outer:
+            _step()
+            with OpProfiler() as inner:
+                _step()
+            _step()
+        assert _calls(inner) == 6
+        assert _calls(outer) == 18
+
+    def test_nested_ops_still_time(self, monkeypatch):
+        monkeypatch.setattr(tensor_mod, "INSTRUMENTED_OPS", [])  # keep the registry clean
+        softplus = tensor_mod.instrument_op("softplus", lambda x: (x.exp() + 1.0).log())
+        with OpProfiler() as prof:
+            softplus(Tensor(np.ones(2), requires_grad=True)).sum().backward()
+        forward = prof.snapshot()["forward"]
+        inner = ("exp", "add", "log")
+        assert all(forward[op]["calls"] == 1 for op in ("softplus",) + inner)
+        assert forward["softplus"]["seconds"] >= sum(forward[op]["seconds"] for op in inner)
+
+    def test_failed_op_not_counted(self):
+        a = Tensor(np.ones((2, 3)), requires_grad=True)
+        with OpProfiler() as prof:
+            with pytest.raises(ValueError):
+                a @ a  # shape mismatch
+            a.sum()
+        assert set(prof.snapshot()["forward"]) == {"sum"}
 
     def test_stop_is_idempotent(self):
         prof = OpProfiler().start()

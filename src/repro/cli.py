@@ -372,7 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
                               help="News-HSN community shards (workers are "
                                    "dealt round-robin over shards)")
     p_serve_http.add_argument("--max-batch-size", type=int, default=32,
-                              help="per-worker dynamic-batching cap")
+                              help="per-worker dynamic-batching cap in "
+                                   "articles (whole requests are coalesced "
+                                   "until a batch holds this many)")
     p_serve_http.add_argument("--max-wait", type=float, default=0.002,
                               help="seconds a worker coalesces a micro-batch")
     p_serve_http.add_argument("--queue-depth", type=int, default=32,
@@ -422,7 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve_batch.add_argument("--input", type=Path, default=None,
                                help="JSONL request stream (default: stdin)")
     p_serve_batch.add_argument("--proba", action="store_true")
-    p_serve_batch.add_argument("--max-batch-size", type=int, default=32)
+    p_serve_batch.add_argument("--max-batch-size", type=int, default=32,
+                               help="micro-batch cap in requests (one "
+                                    "article each)")
     p_serve_batch.add_argument("--max-wait", type=float, default=0.01,
                                help="seconds to coalesce a micro-batch")
     p_serve_batch.add_argument("--cache-size", type=int, default=2048,

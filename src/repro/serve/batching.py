@@ -71,7 +71,9 @@ class BatchQueue:
     handler:
         ``handler(items) -> results`` with ``len(results) == len(items)``.
     max_batch_size:
-        Hard cap on items per handler call.
+        Hard cap on items per handler call. ``repro serve batch`` submits
+        one article per item, so there it counts articles, like the
+        service worker's cap (:mod:`repro.serve.worker`).
     max_wait:
         Seconds the worker waits for more items after the first one
         arrives. Larger values trade latency for bigger batches.

@@ -134,6 +134,14 @@ class PredictRequest:
                 raise ProtocolError(
                     "bad_request", f"articles[{i}] must be an object with 'article_id'"
                 )
+            subjects = raw.get("subject_ids", [])
+            if not isinstance(subjects, list) or not all(
+                isinstance(s, str) for s in subjects
+            ):
+                raise ProtocolError(
+                    "bad_request",
+                    f"articles[{i}].subject_ids must be a list of strings",
+                )
             articles.append(ArticleRequest.from_dict(raw))
         ids = [a.article_id for a in articles]
         if len(set(ids)) != len(ids):

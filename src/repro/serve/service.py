@@ -148,7 +148,9 @@ class PredictionService:
     host / port:
         HTTP bind address; ``port=0`` picks an ephemeral port.
     max_batch_size / max_wait:
-        Per-worker dynamic batching knobs (see :mod:`repro.serve.worker`).
+        Per-worker dynamic batching knobs (see :mod:`repro.serve.worker`):
+        a worker coalesces whole requests until its batch holds
+        ``max_batch_size`` articles, waiting at most ``max_wait`` seconds.
     max_queue_depth:
         Admission control: in-flight request budget per worker; beyond it
         requests get 429 + ``Retry-After``.

@@ -184,8 +184,9 @@ class InferenceSession:
         if miss_idx:
             if len(miss_tokens) == 1:
                 # Single-request misses skip CSR assembly: one dict-lookup
-                # count pass produces bit-identical features (the row norm
-                # sums the same non-zeros either way).
+                # count pass gives the same counts; an L2-normalized row
+                # may differ from the CSR row in the last bit, because
+                # the two paths sum the squares in a different order.
                 explicit = self._extractor.transform_one(miss_tokens[0])[None]
             else:
                 explicit = self._extractor.transform(miss_tokens)
@@ -254,6 +255,36 @@ class InferenceSession:
             )
         return out
 
+    def _neighbour_states(self, articles: Sequence):
+        """Cached ``(z, t)`` GDU inputs: mean known-subject and creator states.
+
+        Unknown or absent neighbours leave a zero row. ``np.add.at`` sums
+        each article's subject rows in listed order and one ``bincount``
+        divides: the arithmetic of a per-article ``mean(axis=0)``, so ``z``
+        is bit-identical to it for states wider than one unit (numpy sums
+        a single column pairwise).
+        """
+        n = len(articles)
+        hidden = self.detector.model.gdu_article.hidden_dim
+        subject_rows = self._subject_rows
+        owners, rows = np.array(
+            [
+                (i, subject_rows[s])
+                for i, article in enumerate(articles)
+                for s in article.subject_ids
+                if s in subject_rows
+            ],
+            dtype=np.intp,
+        ).reshape(-1, 2).T
+        z = np.zeros((n, hidden))
+        np.add.at(z, owners, self._h_subject[rows])
+        z /= np.maximum(np.bincount(owners, minlength=n), 1)[:, None]
+        creators = [self._creator_rows.get(a.creator_id) for a in articles]
+        known = [i for i, row in enumerate(creators) if row is not None]
+        t = np.zeros((n, hidden))
+        t[known] = self._h_creator[[creators[i] for i in known]]
+        return z, t
+
     def _predict_articles(
         self, articles: Sequence, *, return_proba: bool
     ) -> List[Prediction]:
@@ -270,20 +301,7 @@ class InferenceSession:
                     [a.text for a in articles]
                 )
 
-            hidden = model.gdu_article.hidden_dim
-            z = np.zeros((len(articles), hidden))
-            t = np.zeros((len(articles), hidden))
-            for i, article in enumerate(articles):
-                known_subjects = [
-                    self._subject_rows[s]
-                    for s in article.subject_ids
-                    if s in self._subject_rows
-                ]
-                if known_subjects:
-                    z[i] = self._h_subject[known_subjects].mean(axis=0)
-                creator_row = self._creator_rows.get(article.creator_id)
-                if creator_row is not None:
-                    t[i] = self._h_creator[creator_row]
+            z, t = self._neighbour_states(articles)
 
             # Forward-only scoring: no_tape skips graph/grad bookkeeping.
             with no_tape():

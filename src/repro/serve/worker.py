@@ -4,12 +4,12 @@ Each :class:`WorkerHandle` owns one OS process running :func:`worker_main`:
 load the directory checkpoint, build an :class:`repro.serve.InferenceSession`
 restricted to the worker's shard context (see :class:`repro.serve.ShardPlan`),
 then loop — drain a micro-batch from the request queue (dynamic batching:
-up to ``max_batch_size`` items, waiting at most ``max_wait`` seconds after
-the first), run one batched forward, and push per-request results to the
-shared response queue. The wire between parent and worker carries only
-plain dicts (protocol article payloads in, protocol prediction objects
-out), so the parent never touches numpy state and the processes stay
-restart-equivalent.
+whole requests until the batch holds ``max_batch_size`` articles, waiting
+at most ``max_wait`` seconds after the first), run one batched forward,
+and push per-request results to the shared response queue. The wire
+between parent and worker carries only plain dicts (protocol article
+payloads in, protocol prediction objects out), so the parent never
+touches numpy state and the processes stay restart-equivalent.
 
 Messages
 --------
@@ -109,10 +109,17 @@ def _cap_blas_threads(limit: int) -> Optional[int]:
 
 
 def _drain_batch(requests, first, max_batch_size: int, max_wait: float) -> List:
-    """Dynamic batching: coalesce queued predict messages behind ``first``."""
+    """Dynamic batching: coalesce queued predict messages behind ``first``.
+
+    The cap counts articles, not messages: draining (and waiting) stops
+    once the batch holds ``max_batch_size`` articles, so a bulk request
+    that fills the cap on its own runs at once. A message is never split,
+    so the last one taken may carry the batch past the cap.
+    """
     batch = [first]
+    held = len(first[2])
     deadline = time.monotonic() + max_wait
-    while len(batch) < max_batch_size:
+    while held < max_batch_size:
         remaining = deadline - time.monotonic()
         if remaining <= 0:
             break
@@ -126,6 +133,7 @@ def _drain_batch(requests, first, max_batch_size: int, max_wait: float) -> List:
             requests.put(message)
             break
         batch.append(message)
+        held += len(message[2])
     return batch
 
 

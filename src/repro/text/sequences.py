@@ -8,6 +8,7 @@ shape integer matrices feeding :class:`repro.autograd.GRUEncoder`.
 
 from __future__ import annotations
 
+import itertools
 from typing import List, Sequence
 
 import numpy as np
@@ -35,19 +36,7 @@ def encode_sequence(
         ``"tail"`` keeps the first ``max_length`` tokens; ``"head"`` keeps
         the last ones.
     """
-    if max_length <= 0:
-        raise ValueError("max_length must be positive")
-    indices = vocab.encode(tokens)
-    if len(indices) > max_length:
-        if truncate == "tail":
-            indices = indices[:max_length]
-        elif truncate == "head":
-            indices = indices[-max_length:]
-        else:
-            raise ValueError(f"unknown truncate mode {truncate!r}")
-    out = np.full(max_length, PAD_INDEX, dtype=np.int64)
-    out[: len(indices)] = indices
-    return out
+    return encode_batch([tokens], vocab, max_length, truncate=truncate)[0]
 
 
 def encode_batch(
@@ -56,10 +45,25 @@ def encode_batch(
     max_length: int,
     truncate: str = "tail",
 ) -> np.ndarray:
-    """Encode many token lists into an (n, max_length) index matrix."""
-    out = np.full((len(documents), max_length), PAD_INDEX, dtype=np.int64)
-    for i, doc in enumerate(documents):
-        out[i] = encode_sequence(doc, vocab, max_length, truncate=truncate)
+    """Encode many token lists into an (n, max_length) index matrix.
+
+    Arguments are validated before any row is encoded. Documents are
+    truncated before lookup, and the kept tokens of the whole batch go
+    through one :meth:`Vocabulary.encode` call.
+    """
+    if max_length <= 0:
+        raise ValueError("max_length must be positive")
+    if truncate not in ("tail", "head"):
+        raise ValueError(f"unknown truncate mode {truncate!r}")
+    if truncate == "tail":
+        kept = [doc[:max_length] for doc in documents]
+    else:
+        kept = [doc[-max_length:] for doc in documents]
+    lengths = np.fromiter(map(len, kept), dtype=np.intp, count=len(kept))
+    out = np.full((len(kept), max_length), PAD_INDEX, dtype=np.int64)
+    out[np.arange(max_length) < lengths[:, None]] = vocab.encode(
+        list(itertools.chain.from_iterable(kept))
+    )
     return out
 
 

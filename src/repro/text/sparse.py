@@ -15,6 +15,7 @@ pipeline needs, not a general sparse-algebra library.
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, Sequence
 
 import numpy as np
@@ -99,28 +100,20 @@ def csr_from_token_docs(
 ) -> CsrMatrix:
     """Count-vector CSR batch from token lists (the BoW construction).
 
-    One dict lookup per token (the unavoidable Python part), then the
-    per-document unique/count aggregation runs in numpy.
+    One dict lookup per token over the whole batch (the unavoidable Python
+    part), then a single ``np.unique`` over ``row * dim + column`` keys
+    aggregates the counts: keys sort row-major, so each row's columns come
+    out strictly increasing.
     """
-    n = len(documents)
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    idx_chunks = []
-    cnt_chunks = []
-    for i, doc in enumerate(documents):
-        hits = [word_to_index[tok] for tok in doc if tok in word_to_index]
-        if hits:
-            uniq, counts = np.unique(
-                np.asarray(hits, dtype=np.intp), return_counts=True
-            )
-            idx_chunks.append(uniq)
-            cnt_chunks.append(counts.astype(np.float64))
-            indptr[i + 1] = indptr[i] + uniq.size
-        else:
-            indptr[i + 1] = indptr[i]
-    if idx_chunks:
-        indices = np.concatenate(idx_chunks)
-        values = np.concatenate(cnt_chunks)
-    else:
-        indices = np.zeros(0, dtype=np.intp)
-        values = np.zeros(0, dtype=np.float64)
-    return CsrMatrix(indptr, indices, values, (n, dim))
+    lookup = word_to_index.get
+    hits = [[j for j in map(lookup, doc) if j is not None] for doc in documents]
+    lengths = np.fromiter(map(len, hits), dtype=np.intp, count=len(hits))
+    columns = np.fromiter(
+        itertools.chain.from_iterable(hits), dtype=np.intp, count=lengths.sum()
+    )
+    rows = np.repeat(np.arange(len(hits), dtype=np.intp), lengths)
+    keys, counts = np.unique(rows * dim + columns, return_counts=True)
+    row_of, indices = np.divmod(keys, dim)
+    indptr = np.zeros(len(hits) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(row_of, minlength=len(hits)), out=indptr[1:])
+    return CsrMatrix(indptr, indices, counts.astype(np.float64), (len(hits), dim))

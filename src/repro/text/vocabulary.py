@@ -86,8 +86,9 @@ class Vocabulary:
         return self._index_to_token[index]
 
     def encode(self, tokens: Sequence[str]) -> List[int]:
-        """Map a token sequence to indices."""
-        return [self.index(t) for t in tokens]
+        """Map a token sequence to indices (one bound lookup for the batch)."""
+        lookup = self._token_to_index.get
+        return [lookup(t, UNK_INDEX) for t in tokens]
 
     def decode(self, indices: Sequence[int]) -> List[str]:
         """Map indices back to tokens (pads are dropped)."""

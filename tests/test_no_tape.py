@@ -168,3 +168,74 @@ class TestSessionIntegration:
             session.predict(requests_batch)
             session.predict(requests_batch)  # warm/cached path too
         assert profiler.snapshot()["forward"] == {}
+
+
+def _mean_oracle(session, requests):
+    """Per-article ``mean(axis=0)`` neighbour states, as the taped test builds them."""
+    hidden = session.detector.model.gdu_article.hidden_dim
+    z = np.zeros((len(requests), hidden))
+    t = np.zeros((len(requests), hidden))
+    for i, req in enumerate(requests):
+        rows = [session._subject_rows[s] for s in req.subject_ids
+                if s in session._subject_rows]
+        if rows:
+            z[i] = session._h_subject[rows].mean(axis=0)
+        row = session._creator_rows.get(req.creator_id)
+        if row is not None:
+            t[i] = session._h_creator[row]
+    return z, t
+
+
+class TestNeighbourStates:
+    """The batched gather equals the per-article mean, bit for bit."""
+
+    @pytest.fixture()
+    def mixed_requests(self, fitted):
+        detector, dataset = fitted
+        subjects = sorted(detector.features.subjects.index)
+        creators = sorted(detector.features.creators.index)
+        template = next(iter(dataset.articles.values()))
+        return [
+            ArticleRequest("dup", "a", creators[0],
+                           [subjects[0], subjects[1], subjects[0]]),
+            ArticleRequest("unknown", "b", "no_such_creator",
+                           ["no_such_subject", subjects[2]]),
+            ArticleRequest("only_unknown", "c", "", ["no_such_subject"]),
+            ArticleRequest("absent", "d", creators[1]),
+            ArticleRequest("all", "e", creators[-1], list(subjects)),
+            ArticleRequest("training", template.text, template.creator_id,
+                           list(template.subject_ids)),
+        ]
+
+    def _assert_matches_oracle(self, session, requests):
+        z, t = session._neighbour_states(requests)
+        z_ref, t_ref = _mean_oracle(session, requests)
+        assert z.tobytes() == z_ref.tobytes()
+        assert t.tobytes() == t_ref.tobytes()
+        return z, t
+
+    def test_full_context(self, fitted, mixed_requests):
+        detector, _ = fitted
+        z, t = self._assert_matches_oracle(InferenceSession(detector), mixed_requests)
+        assert not z[2].any() and not z[3].any()  # no known subject
+        assert not t[1].any() and not t[2].any()  # no known creator
+        assert z[0].any() and t[0].any()
+
+    def test_shard_restricted_context(self, fitted, mixed_requests):
+        from repro.serve import ShardPlan
+
+        detector, _ = fitted
+        plan = ShardPlan.from_detector(detector, 2)
+        for shard in range(2):
+            session = InferenceSession(
+                detector, context_ids=plan.context_ids(shard)
+            )
+            self._assert_matches_oracle(session, mixed_requests)
+
+    def test_single_and_empty_batches(self, fitted, mixed_requests):
+        detector, _ = fitted
+        session = InferenceSession(detector)
+        for request in mixed_requests:
+            self._assert_matches_oracle(session, [request])
+        z, t = session._neighbour_states([])
+        assert z.shape == t.shape == (0, detector.model.gdu_article.hidden_dim)

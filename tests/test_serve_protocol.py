@@ -61,6 +61,21 @@ class TestPredictRequest:
         assert err.value.code == "bad_schema"
         assert "repro.serve.request/1" in err.value.message
 
+    def test_absent_subject_ids_decode_to_empty_list(self):
+        request = PredictRequest.from_dict(self.payload())
+        assert request.articles[1].subject_ids == []
+
+    @pytest.mark.parametrize("subject_ids", [
+        None, "s_1", 3, 1.5, {"s_1": 1}, ["s_1", 2], [None], [["s_1"]],
+    ])
+    def test_malformed_subject_ids_rejected(self, subject_ids):
+        payload = self.payload()
+        payload["articles"][0]["subject_ids"] = subject_ids
+        with pytest.raises(ProtocolError) as err:
+            PredictRequest.from_dict(payload)
+        assert err.value.code == "bad_request"
+        assert "articles[0].subject_ids" in err.value.message
+
     def test_missing_schema_rejected(self):
         payload = self.payload()
         del payload["schema"]

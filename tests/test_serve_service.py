@@ -175,6 +175,19 @@ class TestErrorPaths:
         assert err.value.code == 400
         assert json.loads(err.value.read())["error"]["code"] == "bad_request"
 
+    @pytest.mark.parametrize("subject_ids", [None, "s_1", 7, ["s_1", 2]])
+    def test_malformed_subject_ids_400_then_recovers(self, service,
+                                                      shard_articles,
+                                                      subject_ids):
+        payload = _payload([ArticleRequest("a", "text")])
+        payload["articles"][0]["subject_ids"] = subject_ids
+        status, doc, _ = _post(service.url, payload)
+        assert status == 400
+        assert doc["schema"] == "repro.serve.error/1"
+        assert doc["error"]["code"] == "bad_request"
+        status, _, _ = _post(service.url, _payload(shard_articles))
+        assert status == 200
+
     def test_unknown_route_404(self, service):
         code, body = _get(service.url, "/v1/nothing")
         assert code == 404
@@ -565,6 +578,92 @@ class TestWorkerLoopRobustness:
         # No sentinel ever arrives; the dead parent is noticed on timeout.
         thread.join(3.0)
         assert not thread.is_alive()
+
+
+def _predict_message(req_id, articles):
+    payloads = [{"article_id": f"{req_id}.{k}", "text": "t"} for k in range(articles)]
+    return ("predict", req_id, payloads, False, None)
+
+
+class TestDrainBatch:
+    """The worker's batcher caps a batch by articles, never splitting one."""
+
+    def _drain(self, queued, first, max_batch_size=32, max_wait=5.0):
+        import queue
+
+        from repro.serve.worker import _drain_batch
+
+        requests = queue.Queue()
+        for message in queued:
+            requests.put(message)
+        start = time.monotonic()
+        batch = _drain_batch(requests, first, max_batch_size, max_wait)
+        leftover = []
+        while not requests.empty():
+            leftover.append(requests.get_nowait())
+        return batch, leftover, time.monotonic() - start
+
+    @pytest.mark.parametrize("articles", [32, 64])
+    def test_full_first_message_returns_without_waiting(self, articles):
+        follow_up = _predict_message("r2", 1)
+        batch, leftover, elapsed = self._drain(
+            [follow_up], _predict_message("r1", articles)
+        )
+        assert elapsed < 0.5
+        assert [m[1] for m in batch] == ["r1"]
+        assert leftover == [follow_up]
+
+    def test_one_article_messages_coalesce_up_to_the_cap(self):
+        queued = [_predict_message(f"r{k}", 1) for k in range(2, 7)]
+        batch, leftover, elapsed = self._drain(
+            queued, _predict_message("r1", 1), max_batch_size=4
+        )
+        assert elapsed < 0.5  # the cap, not the 5 s wait, ended the batch
+        assert [m[1] for m in batch] == ["r1", "r2", "r3", "r4"]
+        assert [m[1] for m in leftover] == ["r5", "r6"]
+
+    def test_one_article_messages_wait_for_late_riders(self):
+        import queue
+        import threading
+
+        from repro.serve.worker import _drain_batch
+
+        requests = queue.Queue()
+        late = threading.Timer(0.05, requests.put, (_predict_message("r2", 1),))
+        late.start()
+        try:
+            batch = _drain_batch(requests, _predict_message("r1", 1), 2, 5.0)
+        finally:
+            late.cancel()
+        assert [m[1] for m in batch] == ["r1", "r2"]
+
+    def test_request_is_never_split(self):
+        batch, leftover, _ = self._drain(
+            [_predict_message("r2", 20), _predict_message("r3", 1)],
+            _predict_message("r1", 20),
+        )
+        # 20 + 20 crosses the 32 cap: the whole second request rides along.
+        assert [len(m[2]) for m in batch] == [20, 20]
+        assert [m[1] for m in leftover] == ["r3"]
+
+    def test_wait_expires_below_the_cap(self):
+        batch, leftover, elapsed = self._drain(
+            [_predict_message("r2", 3)], _predict_message("r1", 3), max_wait=0.05
+        )
+        assert [m[1] for m in batch] == ["r1", "r2"]
+        assert leftover == []
+        assert elapsed >= 0.05
+
+    @pytest.mark.parametrize("control", [("stop",), ("profile_start", 100.0)])
+    def test_control_message_ends_batch_and_is_requeued(self, control):
+        after = _predict_message("r3", 1)
+        batch, leftover, elapsed = self._drain(
+            [_predict_message("r2", 1), control, after],
+            _predict_message("r1", 1),
+        )
+        assert elapsed < 0.5
+        assert [m[1] for m in batch] == ["r1", "r2"]
+        assert leftover == [after, control]
 
 
 def _in_fork(fn):

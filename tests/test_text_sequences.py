@@ -67,6 +67,31 @@ class TestEncodeBatch:
         assert encode_batch([], vocab, max_length=3).shape == (0, 3)
 
 
+class TestArgumentValidation:
+    """Bad arguments raise before any row is encoded, whatever the rows."""
+
+    @pytest.mark.parametrize("max_length", [0, -1])
+    def test_non_positive_max_length(self, vocab, max_length):
+        with pytest.raises(ValueError, match="max_length"):
+            encode_sequence(["alpha"], vocab, max_length=max_length)
+        with pytest.raises(ValueError, match="max_length"):
+            encode_batch([["alpha"]], vocab, max_length=max_length)
+        with pytest.raises(ValueError, match="max_length"):
+            encode_batch([], vocab, max_length=max_length)
+
+    @pytest.mark.parametrize("tokens", [[], ["alpha"], ["alpha", "beta"]])
+    def test_unknown_truncate_mode_on_short_rows(self, vocab, tokens):
+        # No row is longer than max_length, so nothing would be truncated.
+        with pytest.raises(ValueError, match="truncate"):
+            encode_sequence(tokens, vocab, max_length=5, truncate="middle")
+        with pytest.raises(ValueError, match="truncate"):
+            encode_batch([tokens], vocab, max_length=5, truncate="bogus")
+
+    def test_unknown_truncate_mode_on_empty_batch(self, vocab):
+        with pytest.raises(ValueError, match="truncate"):
+            encode_batch([], vocab, max_length=3, truncate="bogus")
+
+
 class TestSequenceLengths:
     def test_lengths(self, vocab):
         batch = encode_batch([["alpha"], ["beta", "gamma"], []], vocab, max_length=4)

@@ -632,6 +632,11 @@ def _t_gather_segment_mean(*args: Any, **_kw: Any) -> AT:
     return AT(shape=(seg_dim, source.shape[1]), dtype="float64")
 
 
+@_transfer("l2_regularization")
+def _t_l2_regularization(*_args: Any, **_kw: Any) -> AT:
+    return AT(shape=(), dtype="float64")
+
+
 # ---------------------------------------------------------------------------
 # Abstract interpreter over __init__ / forward
 # ---------------------------------------------------------------------------

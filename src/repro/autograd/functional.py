@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .tensor import Tensor, ensure_tensor
+from .tensor import Tensor, ensure_tensor, instrument_op
 
 
 __all__ = [
@@ -184,15 +184,34 @@ def hinge_loss(scores: Tensor, targets: np.ndarray, margin: float = 1.0) -> Tens
 def l2_regularization(params, weight: float) -> Tensor:
     """``weight * Σ ||W||²`` over an iterable of parameter tensors.
 
-    Matches the paper's ``α · L_reg(W)`` term.
+    Matches the paper's ``α · L_reg(W)`` term, recorded as one tape node
+    (``l2_regularization``) instead of a ``mul``/``sum``/``add`` chain per
+    parameter. It computes exactly what that chain did, in the same order:
+    the forward sums ``(p * p).sum()`` left to right and then scales by
+    ``weight``. Each parameter is a parent twice, once per operand of
+    ``p * p``, and the backward returns ``(g·weight)·p`` for each. The engine
+    therefore adds the two product-rule terms one after the other, as it did
+    for the ``mul`` node. Scaling by ``2·weight`` once would round
+    differently.
     """
-    total: Optional[Tensor] = None
-    for p in params:
-        term = (p * p).sum()
-        total = term if total is None else total + term
-    if total is None:
+    params = list(params)
+    if not params:
         return Tensor(0.0)
-    return total * weight
+    weight = float(weight)
+    total = (params[0].data * params[0].data).sum()
+    for p in params[1:]:
+        total = total + (p.data * p.data).sum()
+
+    def backward(grad):
+        scale = grad * weight
+        out = []
+        for p in params:
+            term = scale * p.data if p.requires_grad else None
+            out += (term, term)
+        return tuple(out)
+
+    parents = tuple(q for p in params for q in (p, p))
+    return Tensor._make(total * weight, parents, backward)
 
 
 def dropout_mask(shape: tuple, rate: float, rng: np.random.Generator) -> np.ndarray:
@@ -203,3 +222,6 @@ def dropout_mask(shape: tuple, rate: float, rng: np.random.Generator) -> np.ndar
         return np.ones(shape)
     keep = 1.0 - rate
     return (rng.random(shape) < keep).astype(np.float64) / keep
+
+
+l2_regularization = instrument_op("l2_regularization", l2_regularization)

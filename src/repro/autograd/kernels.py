@@ -8,7 +8,7 @@ numpy FLOPs. The kernels here collapse each sequence op into **one** tape
 node with a hand-written backward-through-time:
 
 - :func:`embedding_gather` — one ``(B, T)`` index take forward, one
-  ``np.add.at`` scatter backward, replacing ``T`` per-timestep lookups;
+  ``np.bincount`` scatter backward, replacing ``T`` per-timestep lookups;
 - :func:`gru_sequence` — the full masked GRU recurrence. Gate weights
   arrive stacked (``(E, 3H)`` input, ``(H, 3H)`` hidden, ``(3H,)`` bias, in
   update/reset/candidate order) so the input projections for *all*
@@ -89,8 +89,13 @@ def embedding_gather(weight, indices) -> Tensor:
 
     ``weight`` is the ``(V, E)`` embedding table; ``indices`` any integer
     array (typically ``(B, T)``). Forward is a single take producing
-    ``indices.shape + (E,)``; backward scatters with one ``np.add.at`` over
-    the flattened indices instead of ``T`` separate index nodes.
+    ``indices.shape + (E,)``; backward scatters with one ``np.bincount``
+    over ``row * E + column`` keys instead of ``T`` separate index nodes.
+    ``bincount`` adds each bucket's weights in index order starting from
+    +0.0, as ``np.add.at`` into a zero table does, so the two are equal bit
+    for bit; it is several times faster on the vocabulary-sized tables. The
+    keys are built inside the closure, so a no-tape forward never pays for
+    them.
     """
     weight = ensure_tensor(weight)
     idx = np.asarray(
@@ -105,9 +110,12 @@ def embedding_gather(weight, indices) -> Tensor:
     flat_idx = idx.ravel()
 
     def backward(grad):
-        full = np.zeros_like(weight.data)
-        np.add.at(full, flat_idx, grad.reshape(-1, dim))
-        return (full,)
+        keys = (flat_idx * dim)[:, None] + np.arange(dim)
+        full = np.bincount(
+            keys.ravel(), weights=grad.ravel(), minlength=vocab * dim
+        )
+        # A batch with no tokens comes back as integer zeros.
+        return (full.reshape(vocab, dim).astype(weight.data.dtype, copy=False),)
 
     return Tensor._make(weight.data[idx], (weight,), backward)
 

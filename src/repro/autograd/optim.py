@@ -22,6 +22,7 @@ __all__ = [
     "AdaGrad",
     "RMSProp",
     "clip_grad_norm",
+    "global_grad_norm",
     "StepLR",
     "ExponentialLR",
 ]
@@ -83,6 +84,26 @@ class SGD(Optimizer):
             p.data -= self.lr * update
 
 
+def _scratch_pairs(params) -> list:
+    """Two scratch arrays per parameter, shaped and typed like its data.
+
+    They are views of two buffers per dtype, sized for the largest
+    parameter of that dtype, so a step writes its intermediates without
+    allocating and without any per-step shape arithmetic.
+    """
+    widths: dict = {}
+    for p in params:
+        widths[p.data.dtype] = max(widths.get(p.data.dtype, 0), p.data.size)
+    buffers = {
+        dtype: (np.empty(width, dtype), np.empty(width, dtype))
+        for dtype, width in widths.items()
+    }
+    return [
+        tuple(buf[: p.data.size].reshape(p.data.shape) for buf in buffers[p.data.dtype])
+        for p in params
+    ]
+
+
 class Adam(Optimizer):
     """Adam (Kingma & Ba 2015) with bias correction and optional weight decay."""
 
@@ -103,25 +124,43 @@ class Adam(Optimizer):
         self.weight_decay = weight_decay
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
+        self._scratch = _scratch_pairs(self.params)
         self._t = 0
 
     def step(self) -> None:
+        """One Adam update, with every intermediate written into scratch.
+
+        The operations and their order are those of the textbook form
+        ``p -= lr * (m / bias1) / (sqrt(v / bias2) + eps)`` with
+        ``v += ((1 - beta2) * g) * g``, so the result is the same bit for
+        bit; only the temporaries are gone.
+        """
         self._t += 1
         bias1 = 1.0 - self.beta1 ** self._t
         bias2 = 1.0 - self.beta2 ** self._t
-        for p, m, v in zip(self.params, self._m, self._v):
-            if p.grad is None:
-                continue
+        beta1, beta2 = self.beta1, self.beta2
+        keep1, keep2 = 1.0 - beta1, 1.0 - beta2
+        lr, eps, decay = self.lr, self.eps, self.weight_decay
+        for p, m, v, (a, b) in zip(self.params, self._m, self._v, self._scratch):
             grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            m_hat = m / bias1
-            v_hat = v / bias2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            if grad is None:
+                continue
+            if decay:
+                grad = grad + decay * p.data
+            m *= beta1
+            np.multiply(grad, keep1, out=a)
+            m += a
+            v *= beta2
+            np.multiply(grad, keep2, out=a)
+            a *= grad
+            v += a
+            np.divide(m, bias1, out=a)
+            np.divide(v, bias2, out=b)
+            np.sqrt(b, out=b)
+            b += eps
+            a *= lr
+            a /= b
+            p.data -= a
 
 
 class AdaGrad(Optimizer):
@@ -166,16 +205,25 @@ class RMSProp(Optimizer):
             p.data -= self.lr * p.grad / (np.sqrt(avg) + self.eps)
 
 
+def global_grad_norm(params: Iterable[Tensor]) -> float:
+    """Global L2 norm of the parameters' gradients; ``None`` grads are skipped."""
+    return math.sqrt(
+        sum(float((p.grad ** 2).sum()) for p in params if p.grad is not None)
+    )
+
+
 def clip_grad_norm(params: Iterable[Tensor], max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most ``max_norm``.
 
     Returns the pre-clipping norm. Essential for the unrolled GRU over long
-    articles, where gradients otherwise explode.
+    articles, where gradients otherwise explode. Scaling rebinds ``p.grad``
+    to a new array, so a gradient array the caller supplied is never
+    mutated.
     """
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")
     params = [p for p in params if p.grad is not None]
-    total = math.sqrt(sum(float((p.grad ** 2).sum()) for p in params))
+    total = global_grad_norm(params)
     if total > max_norm and total > 0:
         scale = max_norm / total
         for p in params:

@@ -599,24 +599,49 @@ class Tensor:
                     stack.append((parent, False))
 
         grads: dict[int, np.ndarray] = {id(self): grad}
+        # Nodes whose pending gradient is a sum this pass allocated. Only the
+        # ``grads`` entry references such an array, so its third and later
+        # terms are added in place, and a leaf keeps it without a copy when
+        # it is C-ordered (a copy would be). Only real non-0-d ndarrays
+        # qualify: numpy returns 0-d sums as immutable ``np.float64``.
+        owned: set[int] = set()
         for node in reversed(topo):
-            node_grad = grads.pop(id(node), None)
+            key = id(node)
+            node_grad = grads.pop(key, None)
             if node_grad is None:
                 continue
-            if node.grad is None:
-                node.grad = node_grad.copy()
-            else:
+            if node.grad is not None:
                 node.grad = node.grad + node_grad
+            elif (
+                node._backward is None
+                and key in owned
+                and node_grad.flags.c_contiguous
+            ):
+                node.grad = node_grad
+            else:
+                node.grad = node_grad.copy()
             if node._backward is None:
                 continue
             parent_grads = node._backward(node_grad)
             for parent, pgrad in zip(node._parents, parent_grads):
                 if pgrad is None or not parent.requires_grad:
                     continue
-                if id(parent) in grads:
-                    grads[id(parent)] = grads[id(parent)] + pgrad
+                pid = id(parent)
+                acc = grads.get(pid)
+                if acc is None:
+                    grads[pid] = pgrad
+                elif (
+                    pid in owned
+                    and type(pgrad) is np.ndarray
+                    and pgrad.shape == acc.shape
+                    and pgrad.dtype == acc.dtype
+                ):
+                    acc += pgrad
                 else:
-                    grads[id(parent)] = pgrad
+                    acc = acc + pgrad
+                    grads[pid] = acc
+                    if type(acc) is np.ndarray and acc.ndim:
+                        owned.add(pid)
 
 
 def ensure_tensor(value: ArrayLike) -> Tensor:

@@ -12,7 +12,6 @@ a :class:`NewsDataset` and a :class:`TriSplit`.
 from __future__ import annotations
 
 import dataclasses
-import math
 from time import perf_counter
 from typing import Dict, List, Optional
 
@@ -339,13 +338,7 @@ class FakeDetector:
         if self.config.grad_clip > 0:
             norm = optim.clip_grad_norm(params, self.config.grad_clip)
         else:
-            norm = math.sqrt(
-                sum(
-                    float((p.grad ** 2).sum())
-                    for p in params
-                    if p.grad is not None
-                )
-            )
+            norm = optim.global_grad_norm(params)
         if self._sanitizer is not None:
             # Verify mutation checksums before the optimizer's sanctioned
             # in-place parameter update, then drop them so the cache cannot

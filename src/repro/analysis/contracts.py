@@ -55,12 +55,13 @@ def _require(condition: bool, path: str, message: str) -> None:
         raise ContractViolation(f"{path}: {message}")
 
 
-def _check_float64(path: str, role: str, value) -> None:
+def _check_dtype(path: str, role: str, value, expected) -> None:
+    """The engine keeps input dtypes, so a mismatch would silently upcast."""
     dtype = _dtype_of(value)
     _require(
-        dtype == np.float64,
+        dtype == expected,
         path,
-        f"{role} dtype must be float64 (the engine's gradcheck precision), got {dtype}",
+        f"{role} dtype must match the layer's parameter dtype {expected}, got {dtype}",
     )
 
 
@@ -77,7 +78,7 @@ def _validate_linear(path: str, layer: Linear, args, kwargs) -> None:
         f"(input shape {shape})",
     )
     if isinstance(getattr(x, "data", None), np.ndarray):
-        _check_float64(path, "input", x)
+        _check_dtype(path, "input", x, layer.weight.dtype)
 
 
 def _validate_rnn_cell(path: str, cell, args, kwargs) -> None:
@@ -142,7 +143,7 @@ def _validate_gdu(path: str, gdu, args, kwargs) -> None:
     )
     for role, value in (("x", x), ("z", z), ("t", t)):
         if isinstance(getattr(value, "data", None), np.ndarray):
-            _check_float64(path, role, value)
+            _check_dtype(path, role, value, gdu.w_u.dtype)
 
 
 def _validator_for(module: Module) -> Callable | None:

@@ -110,7 +110,7 @@ def cross_entropy(
         if (class_weights < 0).any():
             raise ValueError("class_weights must be non-negative")
         sample_weights = class_weights[targets]
-        losses = losses * Tensor(sample_weights)
+        losses = losses * Tensor(sample_weights.astype(logits.dtype, copy=False))
         if reduction == "mean":
             total = sample_weights.sum()
             if total == 0:

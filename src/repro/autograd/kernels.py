@@ -29,6 +29,12 @@ Masking semantics match the encoder exactly: ``mask`` is a ``(B, T)``
 ``{0, 1}`` array and padded positions carry the previous hidden (and LSTM
 cell) state through unchanged, so a kernel fed trailing all-pad columns
 produces the same trajectory as one fed the truncated sequence.
+
+Every kernel computes in the dtype of its inputs: buffers, masks and zero
+states are allocated in it, so a float32 model stays float32 and the
+float64 equivalence suites stay float64. The one exception is the
+embedding scatter, which ``np.bincount`` accumulates in float64 before a
+single cast to the table's dtype.
 """
 
 from __future__ import annotations
@@ -58,8 +64,8 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _as_mask(mask, batch: int, length: int) -> np.ndarray:
-    m = np.asarray(mask.data if isinstance(mask, Tensor) else mask, dtype=np.float64)
+def _as_mask(mask, batch: int, length: int, dtype) -> np.ndarray:
+    m = np.asarray(mask.data if isinstance(mask, Tensor) else mask, dtype=dtype)
     if m.shape != (batch, length):
         raise ValueError(
             f"mask shape {m.shape} does not match sequence batch/length "
@@ -93,9 +99,10 @@ def embedding_gather(weight, indices) -> Tensor:
     over ``row * E + column`` keys instead of ``T`` separate index nodes.
     ``bincount`` adds each bucket's weights in index order starting from
     +0.0, as ``np.add.at`` into a zero table does, so the two are equal bit
-    for bit; it is several times faster on the vocabulary-sized tables. The
-    keys are built inside the closure, so a no-tape forward never pays for
-    them.
+    for bit; it is several times faster on the vocabulary-sized tables.
+    ``bincount`` sums in float64 whatever the weights' dtype, so a float32
+    table gets float64 sums cast once to float32. The keys are built inside
+    the closure, so a no-tape forward never pays for them.
     """
     weight = ensure_tensor(weight)
     idx = np.asarray(
@@ -147,8 +154,10 @@ def gru_sequence(seq_embedded, mask, w_x, w_h, b, reverse: bool = False) -> Tens
         raise ValueError(f"gru_sequence expects (B, T, E) inputs, got {x.shape}")
     B, T, E = x.shape
     H = _check_gate_shapes("gru_sequence", E, w_x.shape[1], w_x, w_h, b, gates=3)
-    m = _as_mask(mask, B, T)
     Wx, Wh, bias = w_x.data, w_h.data, b.data
+    # Every buffer, mask and zero state below is in the inputs' dtype.
+    dtype = np.result_type(x, Wx, Wh, bias)
+    m = _as_mask(mask, B, T, dtype)
     if reverse:
         x = x[:, ::-1]
         m = m[:, ::-1]
@@ -165,11 +174,11 @@ def gru_sequence(seq_embedded, mask, w_x, w_h, b, reverse: bool = False) -> Tens
     # Columns where every row is a real token need no mask blend at all —
     # with trailing padding that is most of the sequence.
     full_cols = mT.all(axis=1)
-    h = np.zeros((B, H))
-    states = np.empty((T, B, H))
-    zrs = np.empty((T, B, 2 * H))
-    cs = np.empty((T, B, H))
-    rh = np.empty((B, H))
+    h = np.zeros((B, H), dtype)
+    states = np.empty((T, B, H), dtype)
+    zrs = np.empty((T, B, 2 * H), dtype)
+    cs = np.empty((T, B, H), dtype)
+    rh = np.empty((B, H), dtype)
     # The step below is (1 − z) ⊙ h + z ⊙ c regrouped as h + z ⊙ (c − h)
     # and written straight into the saved buffers — every reordering is a
     # commutative add/multiply, so the trajectory is bit-identical to the
@@ -200,9 +209,9 @@ def gru_sequence(seq_embedded, mask, w_x, w_h, b, reverse: bool = False) -> Tens
     def backward(grad):
         gT = np.swapaxes(grad, 0, 1)
         gT = np.ascontiguousarray(gT[::-1] if reverse else gT)
-        dproj = np.empty((T, B, 3 * H))
-        zeros_h = np.zeros((B, H))
-        gh = np.zeros((B, H))
+        dproj = np.empty((T, B, 3 * H), dtype)
+        zeros_h = np.zeros((B, H), dtype)
+        gh = np.zeros((B, H), dtype)
         for t in range(T - 1, -1, -1):
             gh = gh + gT[t]
             h_prev = states[t - 1] if t > 0 else zeros_h
@@ -229,7 +238,7 @@ def gru_sequence(seq_embedded, mask, w_x, w_h, b, reverse: bool = False) -> Tens
                 dh_prev += gh * keep3[t]
             gh = dh_prev
         # h_{t-1} trajectory: zeros at t=0, then the saved states shifted.
-        h_prev_all = np.empty((T, B, H))
+        h_prev_all = np.empty((T, B, H), dtype)
         if T:
             h_prev_all[0] = 0.0
             h_prev_all[1:] = states[:-1]
@@ -268,8 +277,9 @@ def lstm_sequence(seq_embedded, mask, w_x, w_h, b, reverse: bool = False) -> Ten
         raise ValueError(f"lstm_sequence expects (B, T, E) inputs, got {x.shape}")
     B, T, E = x.shape
     H = _check_gate_shapes("lstm_sequence", E, w_x.shape[1], w_x, w_h, b, gates=4)
-    m = _as_mask(mask, B, T)
     Wx, Wh, bias = w_x.data, w_h.data, b.data
+    dtype = np.result_type(x, Wx, Wh, bias)
+    m = _as_mask(mask, B, T, dtype)
     if reverse:
         x = x[:, ::-1]
         m = m[:, ::-1]
@@ -283,13 +293,13 @@ def lstm_sequence(seq_embedded, mask, w_x, w_h, b, reverse: bool = False) -> Ten
     # Columns where every row is a real token need no mask blend at all —
     # with trailing padding that is most of the sequence.
     full_cols = mT.all(axis=1)
-    h = np.zeros((B, H))
-    c = np.zeros((B, H))
-    states = np.empty((T, B, H))
-    cells = np.empty((T, B, H))
+    h = np.zeros((B, H), dtype)
+    c = np.zeros((B, H), dtype)
+    states = np.empty((T, B, H), dtype)
+    cells = np.empty((T, B, H), dtype)
     # i/f/g/o activations, stored stacked the same way the weights are.
-    gates = np.empty((T, B, 4 * H))
-    tanhc = np.empty((T, B, H))
+    gates = np.empty((T, B, 4 * H), dtype)
+    tanhc = np.empty((T, B, H), dtype)
     for t in range(T):
         gt = gates[t]
         p = proj[t] + h @ Wh
@@ -314,10 +324,10 @@ def lstm_sequence(seq_embedded, mask, w_x, w_h, b, reverse: bool = False) -> Ten
     def backward(grad):
         gT = np.swapaxes(grad, 0, 1)
         gT = np.ascontiguousarray(gT[::-1] if reverse else gT)
-        dproj = np.empty((T, B, 4 * H))
-        zeros_h = np.zeros((B, H))
-        gh = np.zeros((B, H))
-        gc = np.zeros((B, H))
+        dproj = np.empty((T, B, 4 * H), dtype)
+        zeros_h = np.zeros((B, H), dtype)
+        gh = np.zeros((B, H), dtype)
+        gc = np.zeros((B, H), dtype)
         for t in range(T - 1, -1, -1):
             gh = gh + gT[t]
             h_prev = states[t - 1] if t > 0 else zeros_h
@@ -349,7 +359,7 @@ def lstm_sequence(seq_embedded, mask, w_x, w_h, b, reverse: bool = False) -> Ten
                 gc = dc_new * f
             gh = dh_prev
         # h_{t-1} trajectory: zeros at t=0, then the saved states shifted.
-        h_prev_all = np.empty((T, B, H))
+        h_prev_all = np.empty((T, B, H), dtype)
         if T:
             h_prev_all[0] = 0.0
             h_prev_all[1:] = states[:-1]

@@ -92,7 +92,11 @@ class Module:
         return OrderedDict((name, p.data.copy()) for name, p in self.named_parameters())
 
     def load_state_dict(self, state: dict) -> None:
-        """Load parameter arrays produced by :meth:`state_dict`."""
+        """Load parameter arrays produced by :meth:`state_dict`.
+
+        Each array is cast to its parameter's dtype, so a float32 module
+        loads a float64 state dict (and the reverse).
+        """
         own = dict(self.named_parameters())
         missing = set(own) - set(state)
         unexpected = set(state) - set(own)
@@ -102,12 +106,23 @@ class Module:
                 f"unexpected={sorted(unexpected)}"
             )
         for name, param in own.items():
-            value = np.asarray(state[name], dtype=np.float64)
+            value = np.asarray(state[name])
             if value.shape != param.shape:
                 raise ValueError(
                     f"shape mismatch for {name!r}: expected {param.shape}, got {value.shape}"
                 )
-            param.data = value.copy()
+            param.data = value.astype(param.data.dtype)
+
+    def astype(self, dtype) -> "Module":
+        """Cast every parameter to ``dtype`` in place; returns ``self``.
+
+        Gradients are dropped: one computed in the old dtype no longer
+        matches its parameter.
+        """
+        for param in self.parameters():
+            param.data = param.data.astype(dtype)
+            param.grad = None
+        return self
 
 
 class Linear(Module):

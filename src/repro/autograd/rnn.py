@@ -34,7 +34,7 @@ class RNNCell(Module):
         return (x @ self.w_ih + h @ self.w_hh + self.bias).tanh()
 
     def initial_state(self, batch_size: int) -> Tensor:
-        return Tensor(np.zeros((batch_size, self.hidden_size)))
+        return Tensor(np.zeros((batch_size, self.hidden_size), self.bias.data.dtype))
 
 
 class GRUCell(Module):
@@ -69,7 +69,7 @@ class GRUCell(Module):
         return (1.0 - z) * h + z * cand
 
     def initial_state(self, batch_size: int) -> Tensor:
-        return Tensor(np.zeros((batch_size, self.hidden_size)))
+        return Tensor(np.zeros((batch_size, self.hidden_size), self.b_h.data.dtype))
 
 
 class LSTMCell(Module):
@@ -107,7 +107,7 @@ class LSTMCell(Module):
         return h_new, c_new
 
     def initial_state(self, batch_size: int) -> tuple[Tensor, Tensor]:
-        zeros = np.zeros((batch_size, self.hidden_size))
+        zeros = np.zeros((batch_size, self.hidden_size), self.b_c.data.dtype)
         return Tensor(zeros.copy()), Tensor(zeros.copy())
 
 
@@ -181,7 +181,9 @@ class GRUEncoder(Module):
         if seq.ndim == 1:
             seq = seq[None, :]
         batch, length = seq.shape
-        mask = (seq != self.padding_idx).astype(np.float64)  # (batch, seq_len)
+        # The mask and zero states below are in the parameters' dtype.
+        dtype = self.embedding.weight.data.dtype
+        mask = (seq != self.padding_idx).astype(dtype)  # (batch, seq_len)
         # Trailing-pad truncation: columns past the longest real sequence in
         # the batch cannot change any state (padded positions carry the
         # previous state) nor the fusion sum (their mask is 0), so clipping
@@ -194,7 +196,7 @@ class GRUEncoder(Module):
             length = effective
         if length == 0:
             width = self.hidden_size * (2 if self.cell_type == "bigru" else 1)
-            return self.fusion(Tensor(np.zeros((batch, width)))).sigmoid()
+            return self.fusion(Tensor(np.zeros((batch, width), dtype))).sigmoid()
         if self.fused and self.cell_type in ("gru", "lstm", "bigru"):
             return self._forward_fused(seq, mask)
         if self.cell_type == "bigru":
@@ -222,7 +224,7 @@ class GRUEncoder(Module):
             contribution = m * h
             hidden_sum = contribution if hidden_sum is None else hidden_sum + contribution
         if hidden_sum is None:
-            hidden_sum = Tensor(np.zeros((batch, self.hidden_size)))
+            hidden_sum = Tensor(np.zeros((batch, self.hidden_size), dtype))
         return self.fusion(hidden_sum).sigmoid()
 
     @staticmethod
@@ -315,7 +317,7 @@ class GRUEncoder(Module):
             contribution = m * joint
             hidden_sum = contribution if hidden_sum is None else hidden_sum + contribution
         if hidden_sum is None:
-            hidden_sum = Tensor(np.zeros((batch, 2 * self.hidden_size)))
+            hidden_sum = Tensor(np.zeros((batch, 2 * self.hidden_size), mask.dtype))
         return self.fusion(hidden_sum).sigmoid()
 
 

@@ -3,7 +3,8 @@
 The GDU layer needs, for every article, the *mean of its neighbors' hidden
 states* (and symmetrically for creators/subjects). Materializing dense
 normalized adjacency matrices would cost O(n·m) memory; this op works off
-edge lists instead, making full-corpus diffusion feasible.
+edge lists instead, making full-corpus diffusion feasible. Both ops compute
+in the dtype of ``source``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ def segment_sum(source: Tensor, segment_ids: np.ndarray, num_segments: int) -> T
     if segment_ids.size and segment_ids.max() >= num_segments:
         raise IndexError("segment_ids out of range for num_segments")
     out_shape = (num_segments,) + source.shape[1:]
-    out = np.zeros(out_shape, dtype=np.float64)
+    out = np.zeros(out_shape, dtype=source.data.dtype)
     np.add.at(out, segment_ids, source.data)
 
     def backward(grad):
@@ -67,10 +68,11 @@ def gather_segment_mean(
     if segment_ids.size and segment_ids.max() >= num_segments:
         raise IndexError("segment_ids out of range for num_segments")
 
-    counts = np.bincount(segment_ids, minlength=num_segments).astype(np.float64)
+    dtype = source.data.dtype
+    counts = np.bincount(segment_ids, minlength=num_segments).astype(dtype)
     safe_counts = np.maximum(counts, 1.0)
 
-    out = np.zeros((num_segments, source.shape[1]), dtype=np.float64)
+    out = np.zeros((num_segments, source.shape[1]), dtype=dtype)
     np.add.at(out, segment_ids, source.data[gather_index])
     out /= safe_counts[:, None]
 

@@ -12,8 +12,12 @@ Design notes
   :meth:`Tensor.backward`; the graph is walked in reverse topological order.
 - Broadcasting follows numpy semantics; :func:`_unbroadcast` sums gradients
   back down to the operand's original shape.
-- The engine is deliberately eager and single-threaded. Everything is float64
-  by default so finite-difference gradient checks are tight.
+- The engine is deliberately eager and single-threaded. A float array keeps
+  its dtype through every op, so a float32 model computes in float32 (as
+  FakeDetector does) and a float64 one in float64 (as gradient checks and
+  reference oracles do). Python scalars, lists and integer arrays become
+  float64, except that a scalar operand of a binary op takes the other
+  operand's dtype.
 """
 
 from __future__ import annotations
@@ -162,13 +166,32 @@ def instrument_op(op: str, fn: Callable) -> Callable:
     return wrapper
 
 
-def _as_array(value: ArrayLike, dtype=np.float64) -> np.ndarray:
-    """Coerce ``value`` to a float ndarray without copying when possible."""
+def _as_array(value: ArrayLike) -> np.ndarray:
+    """Coerce ``value`` to a float ndarray without copying when possible.
+
+    Float arrays and numpy float scalars keep their dtype; everything else
+    (Python scalars, lists, integer and bool arrays) becomes float64.
+    """
     if isinstance(value, np.ndarray):
-        if value.dtype == dtype:
-            return value
-        return value.astype(dtype)
-    return np.asarray(value, dtype=dtype)
+        return value if value.dtype.kind == "f" else value.astype(np.float64)
+    if isinstance(value, np.floating):
+        return np.asarray(value)
+    return np.asarray(value, dtype=np.float64)
+
+
+def _operand(value: ArrayLike, like: "Tensor") -> "Tensor":
+    """``value`` as the other operand of a binary op with ``like``.
+
+    A scalar, Python or numpy, takes ``like``'s dtype. numpy 2 (NEP 50)
+    keeps a float32 array float32 against a Python float but upcasts it
+    against an ``np.float64`` or a 0-d float64 array, which is what
+    :func:`ensure_tensor` makes of a scalar.
+    """
+    if isinstance(value, Tensor):
+        return value
+    if isinstance(value, (int, float, np.integer, np.floating)):
+        return Tensor(np.asarray(value, dtype=like.data.dtype))
+    return Tensor(value)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -292,7 +315,7 @@ class Tensor:
     # Arithmetic
     # ------------------------------------------------------------------
     def __add__(self, other: ArrayLike) -> "Tensor":
-        other = ensure_tensor(other)
+        other = _operand(other, self)
 
         def backward(grad):
             return (
@@ -311,7 +334,7 @@ class Tensor:
         return Tensor._make(-self.data, (self,), backward)
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
-        other = ensure_tensor(other)
+        other = _operand(other, self)
 
         def backward(grad):
             return (
@@ -322,10 +345,10 @@ class Tensor:
         return Tensor._make(self.data - other.data, (self, other), backward)
 
     def __rsub__(self, other: ArrayLike) -> "Tensor":
-        return ensure_tensor(other) - self
+        return _operand(other, self) - self
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
-        other = ensure_tensor(other)
+        other = _operand(other, self)
 
         def backward(grad):
             return (
@@ -338,7 +361,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other: ArrayLike) -> "Tensor":
-        other = ensure_tensor(other)
+        other = _operand(other, self)
 
         def backward(grad):
             return (
@@ -349,7 +372,7 @@ class Tensor:
         return Tensor._make(self.data / other.data, (self, other), backward)
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return ensure_tensor(other) / self
+        return _operand(other, self) / self
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not isinstance(exponent, (int, float)):

@@ -68,12 +68,12 @@ class AttentionAggregator(Module):
         gather_index = np.asarray(gather_index, dtype=np.intp)
         segment_ids = np.asarray(segment_ids, dtype=np.intp)
         if gather_index.size == 0:
-            return Tensor(np.zeros((num_segments, source.shape[1])))
+            return Tensor(np.zeros((num_segments, source.shape[1]), source.dtype))
         gathered = source[gather_index]                     # (E, d)
         scores = (gathered.tanh() @ self.attn) * (1.0 / self.temperature)  # (E, 1)
         # Segment-stable softmax: shift by per-segment max (constant wrt grad).
         raw = scores.data[:, 0]
-        seg_max = np.full(num_segments, -np.inf)
+        seg_max = np.full(num_segments, -np.inf, raw.dtype)
         np.maximum.at(seg_max, segment_ids, raw)
         shifted = scores - Tensor(seg_max[segment_ids][:, None])
         exp = shifted.exp()                                 # (E, 1)

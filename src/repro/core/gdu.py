@@ -125,5 +125,8 @@ class GDU(Module):
         )
 
     def zero_state(self, batch: int) -> Tensor:
-        """The all-zero default input for an unused GDU port (§4.2)."""
-        return Tensor(np.zeros((batch, self.hidden_dim)))
+        """The all-zero default input for an unused GDU port (§4.2).
+
+        In the unit's parameter dtype, so a float32 unit stays float32.
+        """
+        return Tensor(np.zeros((batch, self.hidden_dim), self.w_u.data.dtype))

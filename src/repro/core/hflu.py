@@ -85,17 +85,24 @@ class HFLU(Module):
             graph; gradients do not flow into them).
         sequences:
             (n, q) padded token-index matrix.
+
+        A numpy ``explicit`` is cast to the latent encoding's dtype (the
+        parameters' dtype); callers that score many batches against one
+        feature matrix cast it once up front, which makes this a no-op.
         """
         parts = []
+        latent = self.encoder(sequences) if self.use_latent else None
         if self.use_explicit:
             if isinstance(explicit, Tensor):
                 # Pass through (keeps requires_grad inputs in the graph —
                 # used by input-gradient saliency).
                 parts.append(explicit)
+            elif latent is not None:
+                parts.append(Tensor(np.asarray(explicit, dtype=latent.dtype)))
             else:
-                parts.append(Tensor(np.asarray(explicit, dtype=np.float64)))
-        if self.use_latent:
-            parts.append(self.encoder(sequences))
+                parts.append(Tensor(np.asarray(explicit)))
+        if latent is not None:
+            parts.append(latent)
         if len(parts) == 1:
             return parts[0]
         if not tape_enabled():

@@ -13,6 +13,9 @@ wired along the News-HSN edges:
 
 States are updated synchronously for ``diffusion_iterations`` rounds
 starting from zeros, then projected to per-type softmax heads (§4.3).
+
+The model trains and serves in float32 (:data:`COMPUTE_DTYPE`): the
+parameters are drawn in float64, exactly as before, and cast once.
 """
 
 from __future__ import annotations
@@ -28,6 +31,10 @@ from .config import FakeDetectorConfig
 from .gdu import GDU
 from .hflu import HFLU
 from .pipeline import GraphIndex, PipelineOutput
+
+#: The one dtype FakeDetector trains and serves in. Gradient checks and the
+#: reference oracles build their own float64 modules instead.
+COMPUTE_DTYPE = np.float32
 
 
 class FakeDetectorModel(Module):
@@ -111,6 +118,12 @@ class FakeDetectorModel(Module):
         self.head_article = Linear(config.gdu_hidden, NUM_CLASSES, rng=rng)
         self.head_creator = Linear(config.gdu_hidden, NUM_CLASSES, rng=rng)
         self.head_subject = Linear(config.gdu_hidden, NUM_CLASSES, rng=rng)
+        self.astype(COMPUTE_DTYPE)
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The parameters' dtype, which every activation follows."""
+        return self.head_article.weight.dtype
 
     # ------------------------------------------------------------------
     def forward(

@@ -57,6 +57,26 @@ class PipelineOutput:
             raise ValueError(f"unknown entity kind {kind!r}") from None
 
 
+def with_explicit_dtype(features: PipelineOutput, dtype) -> PipelineOutput:
+    """``features`` with every explicit matrix in ``dtype``.
+
+    Entities already in ``dtype`` are shared, not copied, so calling this
+    once per fit or session and handing the result to every step makes the
+    model's own per-call cast a no-op.
+    """
+    def cast(entity: EntityFeatures) -> EntityFeatures:
+        if entity.explicit.dtype == dtype:
+            return entity
+        return dataclasses.replace(entity, explicit=entity.explicit.astype(dtype))
+
+    return dataclasses.replace(
+        features,
+        articles=cast(features.articles),
+        creators=cast(features.creators),
+        subjects=cast(features.subjects),
+    )
+
+
 def build_features(
     dataset: NewsDataset,
     train_article_ids: Sequence[str],

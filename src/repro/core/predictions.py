@@ -67,7 +67,9 @@ def predictions_from_logits(
     """Turn an aligned (n, 6) logit matrix into :class:`Prediction` records.
 
     Probabilities come from the autograd :func:`repro.autograd.functional
-    .softmax` so they match training-time cross-entropy numerics exactly.
+    .softmax`, taken in float64 whatever the logits' dtype: the cast of
+    float32 logits is exact, so classes are unchanged, and the wire
+    probabilities and ``predict_proba`` stay float64.
     """
     logits = np.asarray(logits)
     if logits.ndim != 2 or logits.shape[0] != len(ids):
@@ -75,7 +77,11 @@ def predictions_from_logits(
             f"logits shape {logits.shape} does not align with {len(ids)} ids"
         )
     classes = logits.argmax(axis=1)
-    probs = F.softmax(Tensor(logits)).data if return_proba else None
+    probs = (
+        F.softmax(Tensor(logits.astype(np.float64, copy=False))).data
+        if return_proba
+        else None
+    )
     return [
         Prediction(
             entity_id=eid,

@@ -24,7 +24,13 @@ from ..graph.sampling import TriSplit
 from ..obs import get_logger, get_registry, trace
 from .config import FakeDetectorConfig
 from .model import FakeDetectorModel
-from .pipeline import GraphIndex, PipelineOutput, build_features, build_graph_index
+from .pipeline import (
+    GraphIndex,
+    PipelineOutput,
+    build_features,
+    build_graph_index,
+    with_explicit_dtype,
+)
 from .predictions import Prediction, predictions_from_logits
 
 
@@ -139,6 +145,8 @@ class FakeDetector:
             "subject": self.features.subjects.explicit.shape[1],
         }
         self.model = FakeDetectorModel(config, rng=rng, explicit_dims=explicit_dims)
+        # One cast per fit; every step's HFLU then receives float32 as is.
+        self.features = with_explicit_dtype(self.features, self.model.dtype)
 
         train_rows = {
             "article": self._labeled_rows(self.features.articles, split.articles.train),

@@ -59,7 +59,7 @@ def _explain(
         "creator": features.creators.explicit,
         "subject": features.subjects.explicit,
     }
-    grad_input = Tensor(explicit_inputs[kind].copy(), requires_grad=True)
+    grad_input = Tensor(explicit_inputs[kind].astype(model.dtype), requires_grad=True)
     explicit_inputs = dict(explicit_inputs)
     explicit_inputs[kind] = grad_input
 

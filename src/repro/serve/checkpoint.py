@@ -12,9 +12,13 @@ corpus. Layout::
     <dir>/drift_baseline.json  training-corpus drift profile
                                (repro.obs.drift_baseline/1, optional)
 
-Arrays round-trip bit-exactly through ``.npz`` and floats round-trip
-exactly through JSON, so a loaded detector reproduces bit-identical
-``predict_logits`` output (asserted in tests/test_serve_checkpoint.py).
+The weights and explicit features are stored as float32, the model's
+compute dtype, and float32 arrays round-trip bit-exactly through ``.npz``;
+floats round-trip exactly through JSON. A loaded detector therefore
+reproduces bit-identical ``predict_logits`` output (asserted in
+tests/test_serve_checkpoint.py). Checkpoints of earlier builds stored
+float64; loading casts their weights to float32, and the serving session
+casts their features once.
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..autograd import Tensor, no_tape
+from ..core.pipeline import with_explicit_dtype
 from ..core.predictions import Prediction, predictions_from_logits
 from ..obs import trace
 from ..text.sequences import encode_batch
@@ -116,6 +117,9 @@ class InferenceSession:
 
         model = detector.model
         model.eval()
+        # Features and cached states are in the model's dtype; a checkpoint
+        # that stored float64 features is cast here, once.
+        self._dtype = model.dtype
         # The one-and-only full-graph pass: cache every node type's final
         # GDU state plus the row indices needed to look neighbors up.
         with trace(
@@ -124,7 +128,8 @@ class InferenceSession:
             # Inference-only pass: no_tape skips all autograd bookkeeping.
             with no_tape():
                 logits, states = model.forward_with_states(
-                    detector.features, detector.graph
+                    with_explicit_dtype(detector.features, self._dtype),
+                    detector.graph,
                 )
         self._graph_logits = {kind: t.data.copy() for kind, t in logits.items()}
         self._h_creator = states["creator"].data.copy()
@@ -165,6 +170,8 @@ class InferenceSession:
         featurized together — the explicit vectors through the CSR sparse
         path (:meth:`repro.text.BagOfWordsExtractor.transform_csr`) instead
         of per-row dense building, the token ids in one ``encode_batch``.
+        Explicit vectors are cast to the model's dtype before they are
+        cached, so a cache hit needs no cast.
         """
         encoded: List = [None] * len(texts)
         keys: List[str] = []
@@ -190,6 +197,7 @@ class InferenceSession:
                 explicit = self._extractor.transform_one(miss_tokens[0])[None]
             else:
                 explicit = self._extractor.transform(miss_tokens)
+            explicit = explicit.astype(self._dtype, copy=False)
             sequences = encode_batch(
                 miss_tokens, self._vocab, self.config.max_seq_len
             )
@@ -276,12 +284,13 @@ class InferenceSession:
             ],
             dtype=np.intp,
         ).reshape(-1, 2).T
-        z = np.zeros((n, hidden))
+        dtype = self._dtype
+        z = np.zeros((n, hidden), dtype)
         np.add.at(z, owners, self._h_subject[rows])
-        z /= np.maximum(np.bincount(owners, minlength=n), 1)[:, None]
+        z /= np.maximum(np.bincount(owners, minlength=n), 1).astype(dtype)[:, None]
         creators = [self._creator_rows.get(a.creator_id) for a in articles]
         known = [i for i, row in enumerate(creators) if row is not None]
-        t = np.zeros((n, hidden))
+        t = np.zeros((n, hidden), dtype)
         t[known] = self._h_creator[[creators[i] for i in known]]
         return z, t
 

@@ -403,24 +403,31 @@ class TestTrainingEquivalence:
             loaded.predict_logits()["article"], detector.predict_logits()["article"]
         )
         # The same weights evaluated on the unrolled path agree too: the
-        # checkpoint is mode-independent.
+        # checkpoint is mode-independent. Both paths run in float64, cast
+        # the way the model and the trainer cast, so the tolerance measures
+        # the paths and not float32 rounding.
         state = detector.model.state_dict()
-        unrolled_cfg = FakeDetectorConfig(
-            epochs=2, explicit_dim=30, vocab_size=300, max_seq_len=12,
-            seed=5, fused_kernels=False,
-        )
         from repro.core.model import FakeDetectorModel
+        from repro.core.pipeline import with_explicit_dtype
 
         explicit_dims = {
             kind: detector.features.by_type(kind).explicit.shape[1]
             for kind in ("article", "creator", "subject")
         }
-        unrolled = FakeDetectorModel(
-            unrolled_cfg, rng=np.random.default_rng(0), explicit_dims=explicit_dims
-        )
-        unrolled.load_state_dict(state)
-        unrolled.eval()
-        logits = unrolled(detector.features, detector.graph)["article"].data
+        features = with_explicit_dtype(detector.features, np.float64)
+        logits = {}
+        for fused in (True, False):
+            mode_cfg = FakeDetectorConfig(
+                epochs=2, explicit_dim=30, vocab_size=300, max_seq_len=12,
+                seed=5, fused_kernels=fused,
+            )
+            model = FakeDetectorModel(
+                mode_cfg, rng=np.random.default_rng(0), explicit_dims=explicit_dims
+            ).astype(np.float64)
+            model.load_state_dict(state)
+            model.eval()
+            logits[fused] = model(features, detector.graph)["article"].data
+        assert logits[False].dtype == np.float64
         np.testing.assert_allclose(
-            logits, detector.predict_logits()["article"], rtol=1e-8, atol=1e-10
+            logits[False], logits[True], rtol=1e-8, atol=1e-10
         )

@@ -134,8 +134,8 @@ class TestSessionIntegration:
             [r.text for r in requests_batch]
         )
         hidden = model.gdu_article.hidden_dim
-        z = np.zeros((len(requests_batch), hidden))
-        t = np.zeros((len(requests_batch), hidden))
+        z = np.zeros((len(requests_batch), hidden), model.dtype)
+        t = np.zeros((len(requests_batch), hidden), model.dtype)
         for i, req in enumerate(requests_batch):
             rows = [session._subject_rows[s] for s in req.subject_ids
                     if s in session._subject_rows]
@@ -153,11 +153,13 @@ class TestSessionIntegration:
             np.array([p.class_index for p in preds]),
             taped_logits.data.argmax(axis=1),
         )
-        # Bit-identical logits ⇒ bit-identical softmax through the same code.
+        # Bit-identical logits ⇒ bit-identical softmax through the same code
+        # (predictions_from_logits takes it in float64).
         from repro.autograd import functional as F
 
         np.testing.assert_array_equal(
-            probs_untaped, F.softmax(Tensor(taped_logits.data)).data
+            probs_untaped,
+            F.softmax(Tensor(taped_logits.data.astype(np.float64))).data,
         )
 
     def test_session_creates_no_tape_nodes(self, fitted, requests_batch):
@@ -173,8 +175,9 @@ class TestSessionIntegration:
 def _mean_oracle(session, requests):
     """Per-article ``mean(axis=0)`` neighbour states, as the taped test builds them."""
     hidden = session.detector.model.gdu_article.hidden_dim
-    z = np.zeros((len(requests), hidden))
-    t = np.zeros((len(requests), hidden))
+    dtype = session.detector.model.dtype
+    z = np.zeros((len(requests), hidden), dtype)
+    t = np.zeros((len(requests), hidden), dtype)
     for i, req in enumerate(requests):
         rows = [session._subject_rows[s] for s in req.subject_ids
                 if s in session._subject_rows]

@@ -130,7 +130,8 @@ class TestPredictionSurface:
 
         detector, _ = fitted
         logits = detector.predict_logits()["creator"]
-        expected = F.softmax(Tensor(logits)).data
+        # Served probabilities are a float64 softmax of the float32 logits.
+        expected = F.softmax(Tensor(logits.astype(np.float64))).data
         probs = detector.predict_proba("creator")
         ids = detector.features.creators.ids
         for i, eid in enumerate(ids):

@@ -57,7 +57,11 @@ def grad_norm(params) -> float:
 
 
 def embedding_gather(weight, indices) -> Tensor:
-    """Embedding lookup whose backward scatters with ``np.add.at``."""
+    """Embedding lookup whose backward scatters with ``np.add.at``.
+
+    The scatter adds into a float64 table and casts it once to the table's
+    dtype, which is what ``np.bincount`` does for a float32 table.
+    """
     weight = ensure_tensor(weight)
     idx = np.asarray(
         indices.data if isinstance(indices, Tensor) else indices, dtype=np.intp
@@ -68,9 +72,9 @@ def embedding_gather(weight, indices) -> Tensor:
     flat_idx = idx.ravel()
 
     def backward(grad):
-        full = np.zeros_like(weight.data)
+        full = np.zeros(weight.shape)
         np.add.at(full, flat_idx, grad.reshape(-1, dim))
-        return (full,)
+        return (full.astype(weight.data.dtype),)
 
     return Tensor._make(weight.data[idx], (weight,), backward)
 

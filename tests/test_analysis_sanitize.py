@@ -303,6 +303,24 @@ class TestContracts:
         assert "forward" not in layer.__dict__  # original method restored
         layer(x)  # still works after exit
 
+    def test_float64_input_to_float32_linear_raises(self):
+        layer = Linear(4, 2, rng=np.random.default_rng(0)).astype(np.float32)
+        with ContractChecker(layer):
+            layer(Tensor(np.ones((3, 4), np.float32)))
+            with pytest.raises(ContractViolation, match="parameter dtype float32"):
+                layer(Tensor(np.ones((3, 4))))
+
+    def test_float64_state_to_float32_gdu_raises(self):
+        gdu = GDU(input_dim=6, hidden_dim=4, rng=np.random.default_rng(0))
+        gdu.astype(np.float32)
+        x = Tensor(np.ones((2, 6), np.float32))
+        z = gdu.zero_state(2)
+        assert z.dtype == np.float32
+        with ContractChecker(gdu):
+            gdu(x, z, z)
+            with pytest.raises(ContractViolation, match="t dtype"):
+                gdu(x, z, Tensor(np.zeros((2, 4))))
+
     def test_named_modules_paths(self):
         gdu = GDU(input_dim=2, hidden_dim=2, rng=np.random.default_rng(0))
         paths = [path for path, _ in named_modules(gdu)]

@@ -16,11 +16,11 @@ import contextlib
 import numpy as np
 import pytest
 
-from repro.analysis import ContractChecker, ContractViolation
-from repro.autograd import Linear, Tensor, optim
+from repro.analysis import ContractChecker
+from repro.autograd import Tensor, optim
 from repro.autograd.serialization import load_arrays, save_arrays
 from repro.autograd.tensor import add_op_observer, remove_op_observer
-from repro.core import GDU, FakeDetector, FakeDetectorConfig
+from repro.core import FakeDetector, FakeDetectorConfig
 from repro.core.model import COMPUTE_DTYPE, FakeDetectorModel
 from repro.core.pipeline import subgraph_view, with_explicit_dtype
 from repro.serve import ArticleRequest, InferenceSession
@@ -227,29 +227,6 @@ def test_no_tape_served_batch_builds_only_float32_tensors(fitted, monkeypatch):
     # Probabilities are a float64 softmax of the float32 logits.
     for prediction in session.predict(requests, return_proba=True):
         assert prediction.proba.dtype == np.float64
-
-
-# ----------------------------------------------------------------------
-# Contracts
-# ----------------------------------------------------------------------
-class TestDtypeContracts:
-    def test_float64_input_to_float32_linear_raises(self):
-        layer = Linear(4, 2, rng=np.random.default_rng(0)).astype(np.float32)
-        with ContractChecker(layer):
-            layer(Tensor(np.ones((3, 4), np.float32)))
-            with pytest.raises(ContractViolation, match="parameter dtype float32"):
-                layer(Tensor(np.ones((3, 4))))
-
-    def test_float64_state_to_float32_gdu_raises(self):
-        gdu = GDU(input_dim=6, hidden_dim=4, rng=np.random.default_rng(0))
-        gdu.astype(np.float32)
-        x = Tensor(np.ones((2, 6), np.float32))
-        z = gdu.zero_state(2)
-        assert z.dtype == np.float32
-        with ContractChecker(gdu):
-            gdu(x, z, z)
-            with pytest.raises(ContractViolation, match="t dtype"):
-                gdu(x, z, Tensor(np.zeros((2, 4))))
 
 
 # ----------------------------------------------------------------------

@@ -42,8 +42,11 @@ ARTICLES = st.lists(
     unique_by=lambda a: a.article_id,
 )
 FLOAT32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
-LOGITS = st.lists(st.lists(FLOAT32.filter(lambda x: abs(x) < 1e4), min_size=6,
-                           max_size=6), min_size=1, max_size=4)
+LOGITS = st.lists(
+    st.lists(st.floats(-1e4, 1e4, width=32), min_size=6, max_size=6),
+    min_size=1,
+    max_size=4,
+)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 

@@ -176,7 +176,7 @@ def hinge_loss(scores: Tensor, targets: np.ndarray, margin: float = 1.0) -> Tens
     ``targets`` are ±1 per (sample, class); ``scores`` are raw margins.
     """
     scores = ensure_tensor(scores)
-    y = Tensor(np.asarray(targets, dtype=np.float64))
+    y = Tensor(np.asarray(targets, dtype=scores.dtype))
     raw = (margin - scores * y).relu()
     return raw.mean()
 

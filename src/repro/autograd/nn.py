@@ -218,7 +218,7 @@ class Dropout(Module):
         if not self.training or self.rate == 0.0:
             return x
         mask = dropout_mask(x.shape, self.rate, self._rng)
-        return x * Tensor(mask)
+        return x * Tensor(mask.astype(x.dtype, copy=False))
 
     def __repr__(self):
         return f"Dropout(rate={self.rate})"

@@ -727,6 +727,10 @@ def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 
 def where(condition: np.ndarray, a: ArrayLike, b: ArrayLike) -> Tensor:
     """Differentiable selection: ``a`` where condition else ``b``."""
+    if isinstance(a, Tensor):
+        b = _operand(b, a)
+    elif isinstance(b, Tensor):
+        a = _operand(a, b)
     a, b = ensure_tensor(a), ensure_tensor(b)
     cond = condition.data if isinstance(condition, Tensor) else np.asarray(condition)
     cond = cond.astype(bool)

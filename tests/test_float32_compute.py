@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 from repro.analysis import ContractChecker
-from repro.autograd import Tensor, optim
+from repro.autograd import Dropout, Tensor, optim, where
+from repro.autograd import functional as F
 from repro.autograd.serialization import load_arrays, save_arrays
 from repro.autograd.tensor import add_op_observer, remove_op_observer
 from repro.core import FakeDetector, FakeDetectorConfig
@@ -128,6 +129,26 @@ def test_fit_computes_only_in_float32(overrides, tiny_dataset, tiny_split, monke
         assert {s.dtype for s in scratch} == {np.dtype(np.float32)}
     for kind in ("article", "creator", "subject"):
         assert detector.features.by_type(kind).explicit.dtype == np.float32
+
+
+def test_ops_outside_the_model_keep_float32():
+    """Scalar operands, ``where``, dropout and the hinge loss stay float32."""
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal((4, 3)).astype(np.float32), requires_grad=True)
+    signs = np.sign(rng.standard_normal((4, 3)))
+    with DtypeRecorder() as recorder:
+        outs = [
+            1.0 - x, x / 2, 2 / x, x * np.float64(3.0), x ** 2,
+            where(x.data > 0, x, 0.0), where(x.data > 0, 0.5, x),
+            Dropout(0.5, rng=rng)(x), F.hinge_loss(x, signs),
+        ]
+        total = outs[0].sum()
+        for out in outs[1:]:
+            total = total + out.sum()
+        total.backward()
+    assert recorder.dtypes("forward") == {"float32"}, recorder.seen["forward"]
+    assert recorder.dtypes("backward") == {"float32"}, recorder.seen["backward"]
+    assert x.grad.dtype == np.float32
 
 
 def test_float64_module_stays_float64(fitted):

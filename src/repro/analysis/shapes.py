@@ -488,7 +488,7 @@ def _t_embedding_gather(*args: Any, **_kw: Any) -> AT:
     return AT(shape=indices.shape + (weight.shape[1],), dtype="float64")
 
 
-def _rnn_sequence(gates: int, op: str):
+def _rnn_hidden_sum(gates: int, op: str):
     def transfer(*args: Any, **_kw: Any) -> AT:
         if len(args) < 5:
             return AT(dtype="float64")
@@ -532,13 +532,13 @@ def _rnn_sequence(gates: int, op: str):
             _require_eq(mask.shape[1], x.shape[1], f"{op} mask length")
         if x.shape is None or hidden is None:
             return AT(dtype="float64")
-        return AT(shape=(x.shape[0], x.shape[1], hidden), dtype="float64")
+        return AT(shape=(x.shape[0], hidden), dtype="float64")
 
     return transfer
 
 
-TRANSFERS["gru_sequence"] = _rnn_sequence(3, "gru_sequence")
-TRANSFERS["lstm_sequence"] = _rnn_sequence(4, "lstm_sequence")
+TRANSFERS["gru_hidden_sum"] = _rnn_hidden_sum(3, "gru_hidden_sum")
+TRANSFERS["lstm_hidden_sum"] = _rnn_hidden_sum(4, "lstm_hidden_sum")
 
 
 @_transfer("gdu_layer")
@@ -700,8 +700,8 @@ _FN_OPS = {
     "stack": "stack",
     "where": "where",
     "embedding_gather": "embedding_gather",
-    "gru_sequence": "gru_sequence",
-    "lstm_sequence": "lstm_sequence",
+    "gru_hidden_sum": "gru_hidden_sum",
+    "lstm_hidden_sum": "lstm_hidden_sum",
     "gdu_layer": "gdu_layer",
     "segment_sum": "segment_sum",
     "gather_segment_mean": "gather_segment_mean",

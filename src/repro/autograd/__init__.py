@@ -9,7 +9,7 @@ environment) and tests/test_autograd_*.py for finite-difference checks.
 """
 
 from . import functional, init, kernels, optim
-from .kernels import embedding_gather, gdu_layer, gru_sequence, lstm_sequence
+from .kernels import embedding_gather, gdu_layer, gru_hidden_sum, lstm_hidden_sum
 from .nn import (
     Dropout,
     Embedding,
@@ -52,8 +52,8 @@ __all__ = [
     "optim",
     "embedding_gather",
     "gdu_layer",
-    "gru_sequence",
-    "lstm_sequence",
+    "gru_hidden_sum",
+    "lstm_hidden_sum",
     "no_tape",
     "tape_enabled",
     "Module",

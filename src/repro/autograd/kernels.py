@@ -9,14 +9,19 @@ node with a hand-written backward-through-time:
 
 - :func:`embedding_gather` — one ``(B, T)`` index take forward, one
   ``np.bincount`` scatter backward, replacing ``T`` per-timestep lookups;
-- :func:`gru_sequence` — the full masked GRU recurrence. Gate weights
-  arrive stacked (``(E, 3H)`` input, ``(H, 3H)`` hidden, ``(3H,)`` bias, in
-  update/reset/candidate order) so the input projections for *all*
-  timesteps are one ``(B·T, E) @ (E, 3H)`` matmul precomputed before the
-  time loop; the per-step loop runs in raw numpy with no Tensor wrapping,
-  and the saved gate activations are replayed by the backward closure;
-- :func:`lstm_sequence` — the LSTM equivalent with ``(E, 4H)`` / ``(H, 4H)``
-  stacking in input/forget/cell/output order.
+- :func:`gru_hidden_sum` — the full masked GRU recurrence, pooled into
+  the ``(B, H)`` masked time-sum ``Σ_t m_t h_t`` that the encoder's fusion
+  layer reads (the ``(B, T, H)`` trajectory never leaves the kernel). Gate
+  weights arrive stacked (``(E, 3H)`` input, ``(H, 3H)`` hidden, ``(3H,)``
+  bias, in update/reset/candidate order). The recurrence runs
+  feature-major: the input projections of all timesteps are one batched
+  matmul into a ``(T, 3H, B)`` buffer, and every per-step operand is a
+  contiguous ``(·, B)`` block. The backward builds its gradient-free
+  factors for all timesteps at once, runs a ten-call BPTT step, and
+  batches the weight and input gradients into matmuls over ``T``;
+- :func:`lstm_hidden_sum` — the LSTM equivalent with ``(E, 4H)`` /
+  ``(H, 4H)`` stacking in input/forget/cell/output order, on the same
+  contract, with a row-major time loop.
 
 All three are registered through :func:`repro.autograd.tensor.instrument_op`
 so the op profiler (``repro train --profile``) and the tape sanitizer
@@ -26,9 +31,10 @@ whole training trajectories — is asserted by ``tests/test_kernels.py`` and
 re-asserted inside ``benchmarks/test_training_throughput.py``.
 
 Masking semantics match the encoder exactly: ``mask`` is a ``(B, T)``
-``{0, 1}`` array and padded positions carry the previous hidden (and LSTM
-cell) state through unchanged, so a kernel fed trailing all-pad columns
-produces the same trajectory as one fed the truncated sequence.
+``{0, 1}`` array, padded positions carry the previous hidden (and LSTM
+cell) state through unchanged and add nothing to the sum, so a kernel fed
+trailing all-pad columns returns the same sum as one fed the truncated
+sequence.
 
 Every kernel computes in the dtype of its inputs: buffers, masks and zero
 states are allocated in it, so a float32 model stays float32 and the
@@ -127,8 +133,8 @@ def embedding_gather(weight, indices) -> Tensor:
     return Tensor._make(weight.data[idx], (weight,), backward)
 
 
-def gru_sequence(seq_embedded, mask, w_x, w_h, b, reverse: bool = False) -> Tensor:
-    """Masked GRU recurrence over a whole sequence as one tape node.
+def gru_hidden_sum(seq_embedded, mask, w_x, w_h, b, reverse: bool = False) -> Tensor:
+    """Masked GRU recurrence pooled over time, as one tape node.
 
     Parameters
     ----------
@@ -136,24 +142,32 @@ def gru_sequence(seq_embedded, mask, w_x, w_h, b, reverse: bool = False) -> Tens
         ``(B, T, E)`` embedded inputs.
     mask:
         ``(B, T)`` array, 1.0 on real tokens, 0.0 on padding. Padded
-        positions carry the previous hidden state through unchanged.
+        positions carry the previous hidden state through unchanged and
+        add nothing to the sum.
     w_x, w_h, b:
         Gate weights stacked in update/reset/candidate order:
         ``(E, 3H)``, ``(H, 3H)`` and ``(3H,)``.
     reverse:
         Run the recurrence from the last timestep to the first (the
-        backward direction of a bidirectional encoder). The returned
-        trajectory is indexed in *original* time order either way.
+        backward direction of a bidirectional encoder).
 
-    Returns the ``(B, T, H)`` post-mask hidden trajectory.
+    Returns the ``(B, H)`` masked time-sum ``Σ_t m_t h_t`` — what the
+    encoder's fusion layer reads; the trajectory itself never leaves the
+    kernel.
+
+    Internally the recurrence runs feature-major: states, gates and
+    projections are ``(·, B)`` blocks, so every per-step operand is a
+    contiguous array rather than a column slice of a ``(B, 3H)`` buffer.
+    The hidden matmuls use the transposed views ``W.T``, with which a
+    float32 article's column comes out bit-identical at any batch width.
     """
     seq_embedded = ensure_tensor(seq_embedded)
     w_x, w_h, b = ensure_tensor(w_x), ensure_tensor(w_h), ensure_tensor(b)
     x = seq_embedded.data
     if x.ndim != 3:
-        raise ValueError(f"gru_sequence expects (B, T, E) inputs, got {x.shape}")
+        raise ValueError(f"gru_hidden_sum expects (B, T, E) inputs, got {x.shape}")
     B, T, E = x.shape
-    H = _check_gate_shapes("gru_sequence", E, w_x.shape[1], w_x, w_h, b, gates=3)
+    H = _check_gate_shapes("gru_hidden_sum", E, w_x.shape[1], w_x, w_h, b, gates=3)
     Wx, Wh, bias = w_x.data, w_h.data, b.data
     # Every buffer, mask and zero state below is in the inputs' dtype.
     dtype = np.result_type(x, Wx, Wh, bias)
@@ -161,122 +175,127 @@ def gru_sequence(seq_embedded, mask, w_x, w_h, b, reverse: bool = False) -> Tens
     if reverse:
         x = x[:, ::-1]
         m = m[:, ::-1]
+    mT = np.ascontiguousarray(m.T)  # (T, B)
+    # σ(a) = (1 + tanh(a/2)) / 2. Halving the z/r columns of the weights and
+    # bias once is exact, so the loop takes tanh, +1, ×0.5 of them directly.
+    half = np.ones(3 * H, dtype)
+    half[: 2 * H] = 0.5
     Wh_zr = Wh[:, : 2 * H]
     Wh_c = Wh[:, 2 * H :]
-    # Time-major internal layout: every per-step slice below (projections,
-    # saved activations, gradients) is a contiguous (B, ·) block.
-    xT = np.ascontiguousarray(np.swapaxes(x, 0, 1))
-    mT = np.ascontiguousarray(m.T)
-    # All input projections for all timesteps in one big matmul.
-    proj = (xT.reshape(T * B, E) @ Wx + bias).reshape(T, B, 3 * H)
-    m3 = mT[:, :, None]
-    keep3 = 1.0 - m3
-    # Columns where every row is a real token need no mask blend at all —
-    # with trailing padding that is most of the sequence.
+    Wh_zr_half_T = (Wh_zr * 0.5).T
+    Wh_c_T = Wh_c.T
+    # (T, 3H, B): one batched matmul projects every timestep's input. The
+    # z/r rows become σ(z), σ(r) in place and the c rows tanh(candidate),
+    # so after the loop this buffer holds the activations the backward
+    # replays.
+    gates = np.matmul((Wx * half).T, x.transpose(1, 2, 0))
+    gates += (bias * half)[:, None]
+    # Columns where every row is a real token skip the mask entirely.
     full_cols = mT.all(axis=1)
-    h = np.zeros((B, H), dtype)
-    states = np.empty((T, B, H), dtype)
-    zrs = np.empty((T, B, 2 * H), dtype)
-    cs = np.empty((T, B, H), dtype)
-    rh = np.empty((B, H), dtype)
-    # The step below is (1 − z) ⊙ h + z ⊙ c regrouped as h + z ⊙ (c − h)
-    # and written straight into the saved buffers — every reordering is a
-    # commutative add/multiply, so the trajectory is bit-identical to the
-    # naive form while skipping the per-step temporaries (single-article
-    # serving pays numpy dispatch, not FLOPs, in this loop).
+    # states[t] is h_{t-1}: the zero initial state, then the trajectory.
+    states = np.empty((T + 1, H, B), dtype)
+    states[0] = 0.0
+    rhs = np.empty((T, H, B), dtype)  # r ⊙ h_{t-1}, for dW_hc
+    acc_zr = np.empty((2 * H, B), dtype)
+    acc_c = np.empty((H, B), dtype)
     for t in range(T):
-        pt = proj[t]
-        zr = zrs[t]
-        np.dot(h, Wh_zr, out=zr)
-        zr += pt[:, : 2 * H]
-        _sigmoid(zr, out=zr)
-        z = zr[:, :H]
-        r = zr[:, H:]
-        c = cs[t]
-        np.multiply(r, h, out=rh)
-        np.dot(rh, Wh_c, out=c)
-        c += pt[:, 2 * H :]
+        g = gates[t]
+        h = states[t]
+        zr = g[: 2 * H]
+        np.matmul(Wh_zr_half_T, h, out=acc_zr)
+        zr += acc_zr
+        np.tanh(zr, out=zr)
+        zr += 1.0
+        zr *= 0.5
+        z = g[:H]
+        if not full_cols[t]:
+            # z ⊙ m: a padded row keeps h exactly, and every backward
+            # factor built from this z vanishes there too.
+            z *= mT[t]
+        rh = rhs[t]
+        np.multiply(g[H : 2 * H], h, out=rh)
+        c = g[2 * H :]
+        np.matmul(Wh_c_T, rh, out=acc_c)
+        c += acc_c
         np.tanh(c, out=c)
-        h_new = states[t]
+        # (1 − z) ⊙ h + z ⊙ c, regrouped as h + z ⊙ (c − h).
+        h_new = states[t + 1]
         np.subtract(c, h, out=h_new)
         h_new *= z
         h_new += h
-        if not full_cols[t]:
-            h_new *= m3[t]
-            h_new += keep3[t] * h
-        h = h_new
+    hidden_sum = (states[1:] * mT[:, None, :]).sum(axis=0)  # (H, B)
 
     def backward(grad):
-        gT = np.swapaxes(grad, 0, 1)
-        gT = np.ascontiguousarray(gT[::-1] if reverse else gT)
-        dproj = np.empty((T, B, 3 * H), dtype)
-        zeros_h = np.zeros((B, H), dtype)
-        gh = np.zeros((B, H), dtype)
+        Z = gates[:, :H]
+        R = gates[:, H : 2 * H]
+        C = gates[:, 2 * H :]
+        H_prev = states[:-1]
+        # Gradient-free factors for all timesteps at once:
+        # dh_prev = g(1 − z) + …, da_c = g·z(1 − c²), da_z = g·(c − h)z(1 − z),
+        # and da_r = (W_hc da_c)·h r(1 − r).
+        keep = 1.0 - Z
+        f_c = C * C
+        np.subtract(1.0, f_c, out=f_c)
+        f_c *= Z
+        f_z = C - H_prev
+        f_z *= Z
+        f_z *= keep
+        f_r = 1.0 - R
+        f_r *= R
+        f_r *= H_prev
+        # ∂/∂h_t of the pooled sum, masked per timestep.
+        g_sum = grad.T[None] * mT[:, None, :]
+        # (T, 3H, B) pre-activation gradients in the gates' layout.
+        dgates = np.empty((T, 3 * H, B), dtype)
+        gh = np.zeros((H, B), dtype)
+        drh = np.empty((H, B), dtype)
+        dh = np.empty((H, B), dtype)
         for t in range(T - 1, -1, -1):
-            gh = gh + gT[t]
-            h_prev = states[t - 1] if t > 0 else zeros_h
-            zr = zrs[t]
-            z = zr[:, :H]
-            r = zr[:, H:]
-            c = cs[t]
-            dh_tilde = gh if full_cols[t] else gh * m3[t]
-            # h̃ = (1 − z) ⊙ h_prev + z ⊙ c
-            dz = dh_tilde * (c - h_prev)
-            # c = tanh(x W_xh + (r ⊙ h_prev) W_hh + b_h)
-            da = (dh_tilde * z) * (1.0 - c * c)
-            drh = da @ Wh_c.T
-            # Pre-activation gate gradients, written straight into dproj so
-            # the weight/bias/input grads batch into post-loop matmuls.
-            dpt = dproj[t]
-            dpt[:, :H] = dz * z * (1.0 - z)
-            dpt[:, H : 2 * H] = (drh * h_prev) * r * (1.0 - r)
-            dpt[:, 2 * H :] = da
-            dh_prev = dh_tilde * (1.0 - z)
-            dh_prev += drh * r
-            dh_prev += dpt[:, : 2 * H] @ Wh_zr.T
-            if not full_cols[t]:
-                dh_prev += gh * keep3[t]
-            gh = dh_prev
-        # h_{t-1} trajectory: zeros at t=0, then the saved states shifted.
-        h_prev_all = np.empty((T, B, H), dtype)
-        if T:
-            h_prev_all[0] = 0.0
-            h_prev_all[1:] = states[:-1]
-        flat = dproj.reshape(T * B, 3 * H)
-        hp_flat = h_prev_all.reshape(T * B, H)
+            gh += g_sum[t]
+            d = dgates[t]
+            np.multiply(gh, f_z[t], out=d[:H])
+            np.multiply(gh, f_c[t], out=d[2 * H :])
+            np.matmul(Wh_c, d[2 * H :], out=drh)
+            np.multiply(drh, f_r[t], out=d[H : 2 * H])
+            if t == 0:
+                break
+            gh *= keep[t]
+            drh *= R[t]
+            gh += drh
+            np.matmul(Wh_zr, d[: 2 * H], out=dh)
+            gh += dh
+        del keep, f_c, f_z, f_r, g_sum
+        # Weight and input gradients: batched matmuls over T.
+        d_bt = dgates.transpose(0, 2, 1)  # (T, B, 3H)
+        dWx = np.matmul(x.transpose(1, 2, 0), d_bt).sum(axis=0)
         dWh = np.empty_like(Wh)
-        dWh[:, : 2 * H] = hp_flat.T @ flat[:, : 2 * H]
-        dWh[:, 2 * H :] = (
-            (zrs[:, :, H:] * h_prev_all).reshape(T * B, H).T @ flat[:, 2 * H :]
-        )
-        dxT = (flat @ Wx.T).reshape(T, B, E)
-        if reverse:
-            dxT = dxT[::-1]
-        dx = np.ascontiguousarray(np.swapaxes(dxT, 0, 1))
-        dWx = xT.reshape(T * B, E).T @ flat
-        db = flat.sum(axis=0)
+        dWh[:, : 2 * H] = np.matmul(H_prev, d_bt[:, :, : 2 * H]).sum(axis=0)
+        dWh[:, 2 * H :] = np.matmul(rhs, d_bt[:, :, 2 * H :]).sum(axis=0)
+        db = dgates.sum(axis=(0, 2))
+        dx = np.empty((B, T, E), dtype)
+        np.matmul(d_bt, Wx.T, out=(dx[:, ::-1] if reverse else dx).transpose(1, 0, 2))
         return (dx, dWx, dWh, db)
 
-    traj = states[::-1] if reverse else states
-    out = np.ascontiguousarray(np.swapaxes(traj, 0, 1))
-    return Tensor._make(out, (seq_embedded, w_x, w_h, b), backward)
+    return Tensor._make(
+        np.ascontiguousarray(hidden_sum.T), (seq_embedded, w_x, w_h, b), backward
+    )
 
 
-def lstm_sequence(seq_embedded, mask, w_x, w_h, b, reverse: bool = False) -> Tensor:
-    """Masked LSTM recurrence over a whole sequence as one tape node.
+def lstm_hidden_sum(seq_embedded, mask, w_x, w_h, b, reverse: bool = False) -> Tensor:
+    """Masked LSTM recurrence pooled over time, as one tape node.
 
-    Same contract as :func:`gru_sequence` with four stacked gates in
+    Same contract as :func:`gru_hidden_sum` with four stacked gates in
     input/forget/cell/output order: ``(E, 4H)``, ``(H, 4H)``, ``(4H,)``.
     Padded positions carry both the hidden and the cell state through.
-    Returns the ``(B, T, H)`` post-mask hidden trajectory.
+    Returns the ``(B, H)`` masked time-sum ``Σ_t m_t h_t``.
     """
     seq_embedded = ensure_tensor(seq_embedded)
     w_x, w_h, b = ensure_tensor(w_x), ensure_tensor(w_h), ensure_tensor(b)
     x = seq_embedded.data
     if x.ndim != 3:
-        raise ValueError(f"lstm_sequence expects (B, T, E) inputs, got {x.shape}")
+        raise ValueError(f"lstm_hidden_sum expects (B, T, E) inputs, got {x.shape}")
     B, T, E = x.shape
-    H = _check_gate_shapes("lstm_sequence", E, w_x.shape[1], w_x, w_h, b, gates=4)
+    H = _check_gate_shapes("lstm_hidden_sum", E, w_x.shape[1], w_x, w_h, b, gates=4)
     Wx, Wh, bias = w_x.data, w_h.data, b.data
     dtype = np.result_type(x, Wx, Wh, bias)
     m = _as_mask(mask, B, T, dtype)
@@ -322,17 +341,16 @@ def lstm_sequence(seq_embedded, mask, w_x, w_h, b, reverse: bool = False) -> Ten
         c = c_new
 
     def backward(grad):
-        gT = np.swapaxes(grad, 0, 1)
-        gT = np.ascontiguousarray(gT[::-1] if reverse else gT)
         dproj = np.empty((T, B, 4 * H), dtype)
         zeros_h = np.zeros((B, H), dtype)
         gh = np.zeros((B, H), dtype)
         gc = np.zeros((B, H), dtype)
         for t in range(T - 1, -1, -1):
-            gh = gh + gT[t]
+            full = full_cols[t]
+            # ∂/∂h_t of the pooled sum.
+            gh = gh + (grad if full else grad * m3[t])
             h_prev = states[t - 1] if t > 0 else zeros_h
             c_prev = cells[t - 1] if t > 0 else zeros_h
-            full = full_cols[t]
             gt = gates[t]
             i = gt[:, :H]
             f = gt[:, H : 2 * H]
@@ -373,9 +391,8 @@ def lstm_sequence(seq_embedded, mask, w_x, w_h, b, reverse: bool = False) -> Ten
         db = flat.sum(axis=0)
         return (dx, dWx, dWh, db)
 
-    traj = states[::-1] if reverse else states
-    out = np.ascontiguousarray(np.swapaxes(traj, 0, 1))
-    return Tensor._make(out, (seq_embedded, w_x, w_h, b), backward)
+    hidden_sum = (states * m3).sum(axis=0)
+    return Tensor._make(hidden_sum, (seq_embedded, w_x, w_h, b), backward)
 
 
 def _gdu_t_zero(
@@ -762,6 +779,6 @@ def gdu_layer(x, z, t, w_u, b_u, forget=None, adjust=None, select=None) -> Tenso
 
 # Register with the op profiler / tape sanitizer like every other tape op.
 embedding_gather = instrument_op("embedding_gather", embedding_gather)
-gru_sequence = instrument_op("gru_sequence", gru_sequence)
-lstm_sequence = instrument_op("lstm_sequence", lstm_sequence)
+gru_hidden_sum = instrument_op("gru_hidden_sum", gru_hidden_sum)
+lstm_hidden_sum = instrument_op("lstm_hidden_sum", lstm_hidden_sum)
 gdu_layer = instrument_op("gdu_layer", gdu_layer)

@@ -252,7 +252,7 @@ class GRUEncoder(Module):
 
     def _forward_fused(self, seq: np.ndarray, mask: np.ndarray) -> Tensor:
         """Single-tape-node path: fused gather + fused recurrence + pool."""
-        from .kernels import embedding_gather, gru_sequence, lstm_sequence
+        from .kernels import embedding_gather, gru_hidden_sum, lstm_hidden_sum
 
         embedded = embedding_gather(self.embedding.weight, seq)  # (B, T, E)
         if self.cell_type == "lstm":
@@ -265,30 +265,25 @@ class GRUEncoder(Module):
                 w_x = np.concatenate((cell.w_xi.data, cell.w_xf.data, cell.w_xc.data, cell.w_xo.data), axis=1)
                 w_h = np.concatenate((cell.w_hi.data, cell.w_hf.data, cell.w_hc.data, cell.w_ho.data), axis=1)
                 b = np.concatenate((cell.b_i.data, cell.b_f.data, cell.b_c.data, cell.b_o.data), axis=0)
-            states = lstm_sequence(embedded, mask, w_x, w_h, b)
+            hidden_sum = lstm_hidden_sum(embedded, mask, w_x, w_h, b)
         elif self.cell_type == "bigru":
-            states = concatenate(
+            hidden_sum = concatenate(
                 [
-                    gru_sequence(
+                    gru_hidden_sum(
                         embedded, mask, *self._stacked_gru_gates(self.cell)
                     ),
-                    gru_sequence(
+                    gru_hidden_sum(
                         embedded, mask,
                         *self._stacked_gru_gates(self.cell_backward),
                         reverse=True,
                     ),
                 ],
-                axis=2,
+                axis=1,
             )
         else:
-            states = gru_sequence(
+            hidden_sum = gru_hidden_sum(
                 embedded, mask, *self._stacked_gru_gates(self.cell)
             )
-        if tape_enabled():
-            hidden_sum = (states * Tensor(mask[:, :, None])).sum(axis=1)
-        else:
-            # Same multiply-then-reduce, minus per-op Tensor bookkeeping.
-            hidden_sum = Tensor((states.data * mask[:, :, None]).sum(axis=1))
         return self.fusion(hidden_sum).sigmoid()
 
     def _forward_bidirectional(self, seq: np.ndarray, mask: np.ndarray) -> Tensor:

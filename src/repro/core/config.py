@@ -30,7 +30,7 @@ class FakeDetectorConfig:
     rnn_cell: str = "gru"
     # Run the latent-branch recurrence AND the GDU diffusion layer through
     # the fused kernels (repro.autograd.kernels): one tape node per
-    # sequence (gru/lstm_sequence) and one per GDU call (gdu_layer), each
+    # sequence (gru/lstm_hidden_sum) and one per GDU call (gdu_layer), each
     # with a hand-written backward, numerically equivalent to the unrolled
     # tape but several times faster (see docs/performance.md,
     # results/BENCH_training.json and results/BENCH_diffusion.json).

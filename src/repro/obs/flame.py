@@ -7,7 +7,7 @@ of the fused kernels. This module is the production answer — a
 low-overhead background thread that walks :func:`sys._current_frames` at a
 fixed rate (default 100 Hz) and aggregates *folded stacks*::
 
-    MainThread;serve.request;worker.forward;gru_sequence;repro.autograd.kernels._gru_forward 412
+    MainThread;serve.request;worker.forward;gru_hidden_sum;repro.autograd.kernels.gru_hidden_sum 412
 
 Each sample line is ``thread;context tags;python frames`` and the number
 is how many samples landed there. Two context sources are woven in so
@@ -17,7 +17,7 @@ samples carry *semantic* ancestry, not just code ancestry:
   :class:`repro.obs.tracing.Tracer` push/pop — ``serve.request`` …), and
 - the autograd op currently executing (the profiler is an op observer,
   :func:`repro.autograd.tensor.add_op_observer`, bracketing every
-  instrumented op — ``gru_sequence``, ``matmul`` …).
+  instrumented op — ``gru_hidden_sum``, ``matmul`` …).
 
 Both registries are keyed by thread ident rather than ``contextvars``
 because the *sampler thread* must read the state of *other* threads;

@@ -20,12 +20,14 @@ from repro.analysis import ContractChecker
 from repro.autograd import Dropout, Tensor, optim, where
 from repro.autograd import functional as F
 from repro.autograd.serialization import load_arrays, save_arrays
-from repro.autograd.tensor import add_op_observer, remove_op_observer
+from repro.autograd.tensor import add_op_observer, no_tape, remove_op_observer
 from repro.core import FakeDetector, FakeDetectorConfig
+from repro.data import GeneratorConfig, PolitiFactGenerator
 from repro.core.model import COMPUTE_DTYPE, FakeDetectorModel
 from repro.core.pipeline import subgraph_view, with_explicit_dtype
 from repro.serve import ArticleRequest, InferenceSession
 from repro.serve import session as session_module
+from repro.graph.sampling import tri_splits
 
 #: 1024 float32 ulps of 1: the agreement asked of float32 and float64 runs
 #: of the same step, relative to each array's largest magnitude.
@@ -224,8 +226,66 @@ def test_served_batch_computes_only_in_float32(fitted, monkeypatch):
     with DtypeRecorder() as recorder:
         session = InferenceSession(detector)
         session.predict(bulk_requests(dataset))
-    assert {"gru_sequence", "gdu_layer"} <= set(recorder.seen["forward"])
+    assert {"gru_hidden_sum", "gdu_layer"} <= set(recorder.seen["forward"])
     assert recorder.dtypes("forward") == {"float32"}, recorder.seen["forward"]
+
+
+@pytest.fixture(scope="module")
+def fitted_wide():
+    """A fit with the default model widths on a corpus of 150 articles.
+
+    The batch-composition pins below depend on which BLAS kernels the
+    matmuls reach, so they run at the widths that are trained and served.
+    """
+    dataset = PolitiFactGenerator(GeneratorConfig(
+        num_articles=150, num_creators=20, num_subjects=12, seed=7,
+        include_case_studies=False,
+    )).generate()
+    split = next(tri_splits(
+        sorted(dataset.articles), sorted(dataset.creators),
+        sorted(dataset.subjects), k=5, seed=0,
+    ))
+    config = FakeDetectorConfig(epochs=2, explicit_dim=40, vocab_size=400, seed=3)
+    return FakeDetector(config).fit(dataset, split), dataset
+
+
+def test_article_hflu_rows_do_not_depend_on_batch_width(fitted_wide):
+    """An article's HFLU row is the same bytes whatever else is batched with it."""
+    detector, _ = fitted_wide
+    articles = detector.features.articles
+    hflu = detector.model.hflu_article
+    n = len(articles.ids)
+    assert n > 64
+    with no_tape():
+        whole = hflu(articles.explicit, articles.sequences).data
+        assert whole.dtype == np.float32
+        for width in (1, 2, 3, 64):
+            for start in range(0, n, width):
+                rows = slice(start, start + width)
+                part = hflu(articles.explicit[rows], articles.sequences[rows]).data
+                np.testing.assert_array_equal(
+                    part, whole[rows], err_msg=f"width {width}, rows from {start}"
+                )
+
+
+def test_served_probabilities_do_not_depend_on_batch_composition(fitted_wide):
+    """64 requests alone and inside a 200-article batch: the same bytes.
+
+    Narrower served batches are not pinned. At width 1 a batch with one
+    cache miss takes ``transform_one``, which may differ from the batched
+    path in the last bit (see ``InferenceSession._encode_batch``), and at
+    widths 2 and 3 the article head's matmul rounds differently.
+    """
+    detector, dataset = fitted_wide
+    requests = bulk_requests(dataset, n=200)
+    whole = InferenceSession(detector).predict(requests, return_proba=True)
+    for start in (0, 64, 136):
+        part = InferenceSession(detector).predict(
+            requests[start : start + 64], return_proba=True
+        )
+        for got, want in zip(part, whole[start : start + 64]):
+            assert got.entity_id == want.entity_id
+            np.testing.assert_array_equal(got.proba, want.proba)
 
 
 def test_no_tape_served_batch_builds_only_float32_tensors(fitted, monkeypatch):

@@ -1,10 +1,11 @@
 """Fused sequence kernels: gradchecks and equivalence with the unrolled tape.
 
 The contract under test (docs/performance.md): ``repro.autograd.kernels``
-runs each gru/lstm/bigru recurrence as a single tape node with a
-hand-written BPTT backward, and is numerically equivalent to the unrolled
-per-timestep reference path — same forward values, same parameter
-gradients, same training trajectories, interchangeable checkpoints.
+runs each gru/lstm/bigru recurrence, pooled into the encoder's masked
+hidden sum, as a single tape node with a hand-written BPTT backward, and
+is numerically equivalent to the unrolled per-timestep reference path —
+same forward values, same parameter gradients, same training trajectories,
+interchangeable checkpoints.
 """
 
 from __future__ import annotations
@@ -16,15 +17,19 @@ from repro.autograd import GRUEncoder, Tensor, gradcheck
 from repro.autograd.kernels import (
     embedding_gather,
     gdu_layer,
-    gru_sequence,
-    lstm_sequence,
+    gru_hidden_sum,
+    lstm_hidden_sum,
 )
 
 pytestmark = pytest.mark.kernels
 
-#: mask with a padded tail, a full row, and an all-pad row — the shapes the
-#: encoder actually produces.
-MASK = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 1.0, 1.0], [0.0] * 4])
+#: mask with a padded tail, a full row, an all-pad row and an interior pad —
+#: the shapes the encoder produces, plus one it never does.
+MASK = np.array(
+    [[1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 1.0, 1.0], [0.0] * 4, [1.0, 0.0, 1.0, 1.0]]
+)
+
+HIDDEN_SUMS = {"gru": (gru_hidden_sum, 3), "lstm": (lstm_hidden_sum, 4)}
 
 
 def _stacked(rng, E, H, gates):
@@ -35,26 +40,34 @@ def _stacked(rng, E, H, gates):
     )
 
 
+def _gradcheck_hidden_sum(rng, cell, mask, reverse):
+    kernel, gates = HIDDEN_SUMS[cell]
+    B, T = mask.shape
+    x = Tensor(rng.standard_normal((B, T, 2)), requires_grad=True)
+    w_x, w_h, b = _stacked(rng, 2, 3, gates=gates)
+
+    def loss(x, w_x, w_h, b):
+        return (kernel(x, mask, w_x, w_h, b, reverse=reverse) ** 2).sum()
+
+    return gradcheck(loss, [x, w_x, w_h, b], tolerance=1e-5)
+
+
 class TestGradcheck:
     @pytest.mark.parametrize("reverse", [False, True])
-    def test_gru_sequence(self, rng, reverse):
-        x = Tensor(rng.standard_normal((3, 4, 2)), requires_grad=True)
-        w_x, w_h, b = _stacked(rng, 2, 3, gates=3)
-
-        def loss(x, w_x, w_h, b):
-            return (gru_sequence(x, MASK, w_x, w_h, b, reverse=reverse) ** 2).sum()
-
-        assert gradcheck(loss, [x, w_x, w_h, b], tolerance=1e-5)
+    def test_gru_hidden_sum(self, rng, reverse):
+        assert _gradcheck_hidden_sum(rng, "gru", MASK, reverse)
 
     @pytest.mark.parametrize("reverse", [False, True])
-    def test_lstm_sequence(self, rng, reverse):
-        x = Tensor(rng.standard_normal((3, 4, 2)), requires_grad=True)
-        w_x, w_h, b = _stacked(rng, 2, 3, gates=4)
+    def test_lstm_hidden_sum(self, rng, reverse):
+        assert _gradcheck_hidden_sum(rng, "lstm", MASK, reverse)
 
-        def loss(x, w_x, w_h, b):
-            return (lstm_sequence(x, MASK, w_x, w_h, b, reverse=reverse) ** 2).sum()
-
-        assert gradcheck(loss, [x, w_x, w_h, b], tolerance=1e-5)
+    @pytest.mark.parametrize("cell", ["gru", "lstm"])
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize(
+        "mask", [MASK[3:], MASK[:, :1]], ids=["batch-1", "length-1"]
+    )
+    def test_hidden_sum_single_row_and_single_step(self, rng, cell, reverse, mask):
+        assert _gradcheck_hidden_sum(rng, cell, mask, reverse)
 
     def test_embedding_gather(self, rng):
         weight = Tensor(rng.standard_normal((8, 3)), requires_grad=True)
@@ -67,40 +80,66 @@ class TestGradcheck:
 
 
 class TestKernelSemantics:
+    @staticmethod
+    def _padded_and_dropped(rng, cell, reverse):
+        kernel, gates = HIDDEN_SUMS[cell]
+        x_data = rng.standard_normal((1, 4, 2))
+        w_x, w_h, b = _stacked(rng, 2, 3, gates=gates)
+        padded = kernel(
+            Tensor(x_data), np.array([[1.0, 0.0, 1.0, 1.0]]), w_x, w_h, b,
+            reverse=reverse,
+        )
+        dropped = kernel(
+            Tensor(x_data[:, [0, 2, 3]]), np.ones((1, 3)), w_x, w_h, b,
+            reverse=reverse,
+        )
+        return padded.data, dropped.data
+
     def test_gru_masked_positions_carry_state(self, rng):
-        x = Tensor(rng.standard_normal((1, 4, 2)))
-        w_x, w_h, b = _stacked(rng, 2, 3, gates=3)
-        mask = np.array([[1.0, 1.0, 0.0, 0.0]])
-        out = gru_sequence(x, mask, w_x, w_h, b)
-        np.testing.assert_array_equal(out.data[0, 1], out.data[0, 2])
-        np.testing.assert_array_equal(out.data[0, 1], out.data[0, 3])
+        """A padded position carries the state and adds nothing to the sum,
+        so interior padding equals dropping that position."""
+        for reverse in (False, True):
+            padded, dropped = self._padded_and_dropped(rng, "gru", reverse)
+            np.testing.assert_array_equal(padded, dropped, err_msg=f"{reverse=}")
+
+    def test_lstm_masked_positions_carry_state(self, rng):
+        for reverse in (False, True):
+            padded, dropped = self._padded_and_dropped(rng, "lstm", reverse)
+            np.testing.assert_array_equal(padded, dropped, err_msg=f"{reverse=}")
 
     def test_empty_sequence(self, rng):
-        x = Tensor(rng.standard_normal((2, 0, 2)))
-        w_x, w_h, b = _stacked(rng, 2, 3, gates=3)
-        out = gru_sequence(x, np.zeros((2, 0)), w_x, w_h, b)
-        assert out.shape == (2, 0, 3)
+        for cell, (kernel, gates) in HIDDEN_SUMS.items():
+            x = Tensor(rng.standard_normal((2, 0, 2)))
+            w_x, w_h, b = _stacked(rng, 2, 3, gates=gates)
+            out = kernel(x, np.zeros((2, 0)), w_x, w_h, b)
+            np.testing.assert_array_equal(out.data, np.zeros((2, 3)), err_msg=cell)
 
     def test_reverse_equals_flipped_forward(self, rng):
-        """With a full mask, reverse=True is the time-flipped recurrence."""
-        x_data = rng.standard_normal((2, 5, 2))
-        w_x, w_h, b = _stacked(rng, 2, 3, gates=3)
-        mask = np.ones((2, 5))
-        rev = gru_sequence(Tensor(x_data), mask, w_x, w_h, b, reverse=True)
-        fwd = gru_sequence(Tensor(x_data[:, ::-1].copy()), mask, w_x, w_h, b)
-        np.testing.assert_allclose(rev.data, fwd.data[:, ::-1], atol=1e-12)
+        """reverse=True is the recurrence over the time-flipped input."""
+        mask = np.array(
+            [[1.0] * 5, [1.0, 1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 1.0, 1.0, 0.0]]
+        )
+        for cell, (kernel, gates) in HIDDEN_SUMS.items():
+            x_data = rng.standard_normal((3, 5, 2))
+            w_x, w_h, b = _stacked(rng, 2, 3, gates=gates)
+            rev = kernel(Tensor(x_data), mask, w_x, w_h, b, reverse=True)
+            fwd = kernel(
+                Tensor(x_data[:, ::-1].copy()), mask[:, ::-1].copy(), w_x, w_h, b
+            )
+            np.testing.assert_allclose(rev.data, fwd.data, atol=1e-12, err_msg=cell)
 
     def test_shape_validation(self, rng):
         x = Tensor(rng.standard_normal((2, 4, 2)))
-        w_x, w_h, b = _stacked(rng, 2, 3, gates=3)
-        with pytest.raises(ValueError):
-            gru_sequence(x, np.ones((2, 5)), w_x, w_h, b)  # bad mask
-        with pytest.raises(ValueError):
-            gru_sequence(Tensor(rng.standard_normal((2, 4))), np.ones((2, 4)),
-                         w_x, w_h, b)  # not 3-d
-        bad_wh = Tensor(rng.standard_normal((4, 9)))
-        with pytest.raises(ValueError):
-            gru_sequence(x, np.ones((2, 4)), w_x, bad_wh, b)
+        for kernel, gates in HIDDEN_SUMS.values():
+            w_x, w_h, b = _stacked(rng, 2, 3, gates=gates)
+            with pytest.raises(ValueError):
+                kernel(x, np.ones((2, 5)), w_x, w_h, b)  # bad mask
+            with pytest.raises(ValueError):
+                kernel(Tensor(rng.standard_normal((2, 4))), np.ones((2, 4)),
+                       w_x, w_h, b)  # not 3-d
+            bad_wh = Tensor(rng.standard_normal((4, 3 * gates)))
+            with pytest.raises(ValueError):
+                kernel(x, np.ones((2, 4)), w_x, bad_wh, b)
 
     def test_embedding_gather_range_check(self, rng):
         weight = Tensor(rng.standard_normal((4, 2)))
@@ -177,9 +216,9 @@ class TestObservabilityIntegration:
         with OpProfiler() as profiler:
             (fused(SEQ) ** 2).sum().backward()
         snap = profiler.snapshot()
-        assert "gru_sequence" in snap["forward"]
+        assert "gru_hidden_sum" in snap["forward"]
         assert "embedding_gather" in snap["forward"]
-        assert "gru_sequence" in snap["backward"]
+        assert "gru_hidden_sum" in snap["backward"]
 
     def test_sanitizer_accepts_fused_ops(self):
         from repro.analysis.sanitize import Sanitizer
@@ -367,24 +406,55 @@ class TestGduObservability:
         assert sanitizer.stats.backward_ops > 0
 
 
-class TestTrainingEquivalence:
-    def test_fit_loss_curves_match(self, tiny_dataset, tiny_split):
-        from repro.core import FakeDetector, FakeDetectorConfig
+def _fit_both_modes(dataset, split):
+    """Loss curves and article logits of a fused and an unrolled fit."""
+    from repro.core import FakeDetector, FakeDetectorConfig
 
-        curves = {}
-        for fused in (True, False):
-            config = FakeDetectorConfig(
-                epochs=4, explicit_dim=30, vocab_size=300, max_seq_len=12,
-                seed=5, fused_kernels=fused,
-            )
-            detector = FakeDetector(config).fit(tiny_dataset, tiny_split)
-            curves[fused] = (detector.record.total, detector)
+    curves = {}
+    for fused in (True, False):
+        config = FakeDetectorConfig(
+            epochs=4, explicit_dim=30, vocab_size=300, max_seq_len=12,
+            seed=5, fused_kernels=fused,
+        )
+        detector = FakeDetector(config).fit(dataset, split)
+        curves[fused] = (
+            np.asarray(detector.record.total),
+            detector.predict_logits()["article"],
+        )
+    return curves
+
+
+class TestTrainingEquivalence:
+    def test_fit_loss_curves_match(self, tiny_dataset, tiny_split, monkeypatch):
+        """Judged in float64, the reference dtype, so the tolerances measure
+        the two paths and not float32 rounding."""
+        from repro.core import model as model_module
+
+        monkeypatch.setattr(model_module, "COMPUTE_DTYPE", np.float64)
+        curves = _fit_both_modes(tiny_dataset, tiny_split)
+        assert curves[True][1].dtype == np.float64
         np.testing.assert_allclose(
             curves[True][0], curves[False][0], rtol=1e-6, atol=1e-8
         )
-        logits_f = curves[True][1].predict_logits()["article"]
-        logits_u = curves[False][1].predict_logits()["article"]
-        np.testing.assert_allclose(logits_f, logits_u, rtol=1e-5, atol=1e-7)
+        np.testing.assert_allclose(
+            curves[True][1], curves[False][1], rtol=1e-5, atol=1e-7
+        )
+
+    def test_fit_agrees_in_float32(self, tiny_dataset, tiny_split):
+        """The compute dtype: both paths round differently, by a few ulps.
+
+        The budget is 2^8 float32 ulps of the largest logit, and 2^8 ulps
+        relative on the loss curve: far above the reordered sums of the two
+        paths, far below what a wrong gate or mask would move.
+        """
+        curves = _fit_both_modes(tiny_dataset, tiny_split)
+        assert curves[True][1].dtype == np.float32
+        budget = 2.0 ** 8 * np.finfo(np.float32).eps
+        scale = np.abs(curves[False][1]).max()
+        np.testing.assert_allclose(curves[True][0], curves[False][0], rtol=budget)
+        np.testing.assert_allclose(
+            curves[True][1], curves[False][1], rtol=0, atol=budget * scale
+        )
 
     def test_detector_checkpoint_round_trip_across_modes(
         self, tiny_dataset, tiny_split, tmp_path

@@ -16,6 +16,12 @@ import numpy as np
 from ..autograd import GRUEncoder, Module, Tensor, concatenate
 from ..autograd.tensor import tape_enabled
 
+#: Most rows one tape-free encoder call takes. The encoder's buffers grow
+#: with the rows of a call (the GRU's ``(T, 3H, rows)`` projection alone is
+#: 8.6 KB per float32 row at the default widths), so a full-graph inference
+#: pass encodes in blocks instead of all n rows at once.
+BLOCK_ROWS = 256
+
 
 class HFLU(Module):
     """Per-node-type hybrid feature extractor.
@@ -91,7 +97,7 @@ class HFLU(Module):
         feature matrix cast it once up front, which makes this a no-op.
         """
         parts = []
-        latent = self.encoder(sequences) if self.use_latent else None
+        latent = self._encode(sequences) if self.use_latent else None
         if self.use_explicit:
             if isinstance(explicit, Tensor):
                 # Pass through (keeps requires_grad inputs in the graph —
@@ -110,3 +116,25 @@ class HFLU(Module):
             # node (this is the hot seam of the per-request serving path).
             return Tensor(np.concatenate([p.data for p in parts], axis=1))
         return concatenate(parts, axis=1)
+
+    def _encode(self, sequences) -> Tensor:
+        """The latent rows of ``sequences``, in blocks when the tape is off.
+
+        A taped call encodes all n rows at once. Without a tape, n >
+        :data:`BLOCK_ROWS` rows run as ``ceil(n / BLOCK_ROWS)`` near-equal
+        blocks (each of at least ``BLOCK_ROWS / 2`` rows), so the encoder's
+        transient memory stays bounded whatever n is. A float32 row's
+        latent vector does not depend on the other rows of its call, so the
+        concatenated blocks are the bytes of one call (pinned in
+        ``tests/test_no_tape.py``). The cnn encoder is the exception at a
+        one-row call, which near-equal blocks never make.
+        """
+        n = len(sequences)
+        if tape_enabled() or n <= BLOCK_ROWS:
+            return self.encoder(sequences)
+        blocks = -(-n // BLOCK_ROWS)
+        edges = np.arange(blocks + 1) * n // blocks
+        return Tensor(np.concatenate([
+            self.encoder(sequences[lo:hi]).data
+            for lo, hi in zip(edges[:-1], edges[1:])
+        ]))

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..autograd import functional as F
-from ..autograd import optim
+from ..autograd import no_tape, optim
 from ..data.schema import NewsDataset
 from ..graph.sampling import TriSplit
 from ..obs import get_logger, get_registry, trace
@@ -298,8 +298,7 @@ class FakeDetector:
 
     def _validation_accuracy(self, validation_rows: np.ndarray) -> float:
         """Bi-class article accuracy on the held-out validation rows."""
-        self.model.eval()
-        logits = self.model(self.features, self.graph)["article"].data
+        logits = self.predict_logits()["article"]
         predictions = logits[validation_rows].argmax(axis=1)
         truth = self.features.articles.labels[validation_rows]
         return float(((predictions >= 3) == (truth >= 3)).mean())
@@ -432,11 +431,16 @@ class FakeDetector:
 
     # ------------------------------------------------------------------
     def predict_logits(self) -> Dict[str, np.ndarray]:
-        """Raw (n, 6) logits per node type for the whole network."""
+        """Raw (n, 6) logits per node type for the whole network.
+
+        A tape-free forward (the same bytes as a taped one), so it records
+        nothing for the op observers.
+        """
         if self.model is None:
             raise RuntimeError("fit() must be called before predict")
         self.model.eval()
-        logits = self.model(self.features, self.graph)
+        with no_tape():
+            logits = self.model(self.features, self.graph)
         return {kind: t.data.copy() for kind, t in logits.items()}
 
     def predictions(self, kind: str, *, return_proba: bool = False) -> List[Prediction]:
@@ -448,7 +452,11 @@ class FakeDetector:
         """
         logits = self.predict_logits()[kind]
         entity = self.features.by_type(kind)
-        return predictions_from_logits(entity.ids, logits, return_proba=return_proba)
+        # The probabilities' softmax records no tape either.
+        with no_tape():
+            return predictions_from_logits(
+                entity.ids, logits, return_proba=return_proba
+            )
 
     def predict(self, kind: str, *, return_proba: bool = False):
         """Predicted class for every node of ``kind``.

@@ -154,18 +154,15 @@ class BaselineProfile:
     def from_detector(cls, detector) -> "BaselineProfile":
         """Profile a fitted detector over its own training articles.
 
-        One full-graph forward (the same pass ``InferenceSession`` runs at
-        construction) yields the article logits; the explicit BoW matrix is
-        already materialized on the features object.
+        One tape-free full-graph forward (:meth:`FakeDetector.predict_logits`)
+        yields the article logits; the explicit BoW matrix is already
+        materialized on the features object.
         """
         if detector.model is None or detector.features is None:
             raise RuntimeError("cannot profile an unfitted FakeDetector")
-        detector.model.eval()
-        logits, _ = detector.model.forward_with_states(
-            detector.features, detector.graph
-        )
         return cls.from_observations(
-            detector.features.articles.explicit, logits["article"].data
+            detector.features.articles.explicit,
+            detector.predict_logits()["article"],
         )
 
     # -- persistence ---------------------------------------------------

@@ -5,10 +5,16 @@ The contract under test (docs/performance.md "No-tape inference"):
 no parent tuples, no backward closures, no ``requires_grad`` propagation,
 and nothing for the op observers (profilers / sanitizer / flame tags) to
 observe — while forward *values* stay bit-identical to the taped path.
-``InferenceSession`` runs all its forwards inside the context.
+``InferenceSession`` runs all its forwards inside the context, and so do
+``FakeDetector.predict_logits`` and the ``predict*`` methods. Tape-free
+HFLU passes encode in blocks of at most ``BLOCK_ROWS`` rows, with the
+bytes of one call and a bounded transient (docs/performance.md
+"Bounded-memory inference").
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +22,11 @@ import pytest
 from repro.autograd import Tensor, no_tape, tape_enabled
 from repro.autograd.kernels import gdu_layer
 from repro.core import FakeDetector, FakeDetectorConfig
-from repro.obs import OpProfiler
+from repro.core import hflu as hflu_module
+from repro.core.hflu import BLOCK_ROWS, HFLU
+from repro.data import GeneratorConfig, PolitiFactGenerator
+from repro.graph.sampling import tri_splits
+from repro.obs import BaselineProfile, OpProfiler
 from repro.serve import ArticleRequest, InferenceSession
 
 
@@ -242,3 +252,128 @@ class TestNeighbourStates:
             self._assert_matches_oracle(session, [request])
         z, t = session._neighbour_states([])
         assert z.shape == t.shape == (0, detector.model.gdu_article.hidden_dim)
+
+
+# ----------------------------------------------------------------------
+# Tape-free entry points and blocked encoding
+# ----------------------------------------------------------------------
+class TestTapeFreeEntryPoints:
+    """The detector's inference methods record no tape."""
+
+    def test_predict_methods_record_no_ops(self, fitted):
+        detector, _ = fitted
+        with OpProfiler() as profiler:
+            detector.predict_logits()
+            detector.predict("article")
+            detector.predict_proba("creator")
+            detector._validation_accuracy(np.arange(10))
+            BaselineProfile.from_detector(detector)
+        assert profiler.snapshot()["forward"] == {}
+
+    def test_predict_logits_equal_a_taped_forward(self, fitted):
+        detector, _ = fitted
+        detector.model.eval()
+        taped = detector.model(detector.features, detector.graph)
+        assert taped["article"].requires_grad
+        got = detector.predict_logits()
+        for kind, logits in taped.items():
+            assert got[kind].tobytes() == logits.data.tobytes()
+
+
+CELLS = ("gru", "lstm", "bigru", "rnn", "cnn")
+
+
+def float32_hflu(cell: str) -> HFLU:
+    """An article HFLU at the default widths (a smaller vocabulary)."""
+    return HFLU(400, 16, 24, 16, rng=np.random.default_rng(1), rnn_cell=cell).astype(
+        np.float32
+    )
+
+
+def hflu_inputs(n: int, seed: int = 0):
+    """``n`` float32 explicit rows and ragged, zero-padded sequences."""
+    rng = np.random.default_rng(seed)
+    explicit = rng.random((n, 40)).astype(np.float32)
+    sequences = rng.integers(1, 400, (n, 30))
+    sequences[np.arange(30) >= rng.integers(0, 31, n)[:, None]] = 0
+    return explicit, sequences
+
+
+def transient_bytes(hflu: HFLU, n: int) -> int:
+    """Traced peak of a tape-free pass over ``n`` rows, less what it keeps."""
+    explicit, sequences = hflu_inputs(n)
+    tracemalloc.start()
+    try:
+        with no_tape():
+            out = hflu(explicit, sequences)
+        _, peak = tracemalloc.get_traced_memory()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (n, 56)
+    return peak - retained
+
+
+class TestBlockedEncoding:
+    @pytest.mark.parametrize("cell", CELLS)
+    def test_blocks_give_the_bytes_of_one_taped_call(self, cell):
+        """2·B + 1 rows, so a fixed-size split would leave a one-row block."""
+        n = 2 * BLOCK_ROWS + 1
+        hflu = float32_hflu(cell)
+        explicit, sequences = hflu_inputs(n)
+        taped = hflu(explicit, sequences)
+        assert taped.requires_grad
+        with no_tape():
+            blocked = hflu(explicit, sequences).data
+        assert blocked.dtype == np.float32
+        assert blocked.tobytes() == taped.data.tobytes()
+
+    def test_transient_memory_does_not_grow_with_rows(self):
+        hflu = float32_hflu("gru")
+        transient_bytes(hflu, 8)  # first-call allocations stay out of the peaks
+        one = transient_bytes(hflu, BLOCK_ROWS)
+        eight = transient_bytes(hflu, 8 * BLOCK_ROWS)
+        assert eight <= 2 * one, (one, eight)
+
+
+@pytest.fixture(scope="module")
+def fitted_large():
+    """A fit at the default widths on more than 2·B articles."""
+    dataset = PolitiFactGenerator(GeneratorConfig(
+        num_articles=600, num_creators=40, num_subjects=15, seed=5,
+        include_case_studies=False,
+    )).generate()
+    split = next(tri_splits(
+        sorted(dataset.articles), sorted(dataset.creators),
+        sorted(dataset.subjects), k=5, seed=0,
+    ))
+    config = FakeDetectorConfig(epochs=2, explicit_dim=40, vocab_size=400, seed=3)
+    detector = FakeDetector(config).fit(dataset, split)
+    assert detector.features.articles.num > 2 * BLOCK_ROWS
+    return detector
+
+
+class TestBlockedFullGraph:
+    """Blocked full-graph passes equal an unblocked pass, byte for byte."""
+
+    @staticmethod
+    def unblocked(detector, monkeypatch, compute):
+        with monkeypatch.context() as patch:
+            patch.setattr(hflu_module, "BLOCK_ROWS", detector.features.articles.num)
+            return compute()
+
+    def test_predict_logits(self, fitted_large, monkeypatch):
+        blocked = fitted_large.predict_logits()
+        reference = self.unblocked(fitted_large, monkeypatch, fitted_large.predict_logits)
+        for kind, logits in reference.items():
+            assert blocked[kind].tobytes() == logits.tobytes()
+
+    def test_session_cached_logits_and_states(self, fitted_large, monkeypatch):
+        blocked = InferenceSession(fitted_large)
+        reference = self.unblocked(
+            fitted_large, monkeypatch, lambda: InferenceSession(fitted_large)
+        )
+        for kind, logits in reference._graph_logits.items():
+            assert blocked._graph_logits[kind].tobytes() == logits.tobytes()
+        assert blocked._h_creator.tobytes() == reference._h_creator.tobytes()
+        assert blocked._h_subject.tobytes() == reference._h_subject.tobytes()

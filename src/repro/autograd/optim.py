@@ -1,8 +1,9 @@
-"""First-order optimizers and gradient utilities.
+"""The Adam optimizer and gradient-norm utilities.
 
 The paper trains FakeDetector "with the back-propagation algorithm"; the
-reproduction defaults to Adam for stability, with SGD(+momentum), AdaGrad and
-RMSProp available for ablations.
+reproduction uses Adam for stability, with global-norm gradient clipping.
+Every trainer in the package (FakeDetector, the GCN and RNN baselines)
+uses only these.
 """
 
 from __future__ import annotations
@@ -17,14 +18,9 @@ from .tensor import Tensor
 
 __all__ = [
     "Optimizer",
-    "SGD",
     "Adam",
-    "AdaGrad",
-    "RMSProp",
     "clip_grad_norm",
     "global_grad_norm",
-    "StepLR",
-    "ExponentialLR",
 ]
 
 
@@ -45,43 +41,6 @@ class Optimizer:
 
     def step(self) -> None:
         raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum / Nesterov / weight decay."""
-
-    def __init__(
-        self,
-        params: Iterable[Tensor],
-        lr: float = 0.01,
-        momentum: float = 0.0,
-        nesterov: bool = False,
-        weight_decay: float = 0.0,
-    ):
-        super().__init__(params, lr)
-        if momentum < 0:
-            raise ValueError("momentum must be non-negative")
-        if nesterov and momentum == 0:
-            raise ValueError("nesterov momentum requires momentum > 0")
-        self.momentum = momentum
-        self.nesterov = nesterov
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for p, v in zip(self.params, self._velocity):
-            if p.grad is None:
-                continue
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            if self.momentum:
-                v *= self.momentum
-                v += grad
-                update = grad + self.momentum * v if self.nesterov else v
-            else:
-                update = grad
-            p.data -= self.lr * update
 
 
 def _scratch_pairs(params) -> list:
@@ -163,48 +122,6 @@ class Adam(Optimizer):
             p.data -= a
 
 
-class AdaGrad(Optimizer):
-    """AdaGrad: per-parameter learning rates from accumulated squared grads."""
-
-    def __init__(self, params: Iterable[Tensor], lr: float = 0.01, eps: float = 1e-10):
-        super().__init__(params, lr)
-        self.eps = eps
-        self._accum = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for p, acc in zip(self.params, self._accum):
-            if p.grad is None:
-                continue
-            acc += p.grad * p.grad
-            p.data -= self.lr * p.grad / (np.sqrt(acc) + self.eps)
-
-
-class RMSProp(Optimizer):
-    """RMSProp with exponentially decaying squared-gradient average."""
-
-    def __init__(
-        self,
-        params: Iterable[Tensor],
-        lr: float = 0.001,
-        decay: float = 0.9,
-        eps: float = 1e-8,
-    ):
-        super().__init__(params, lr)
-        if not 0 <= decay < 1:
-            raise ValueError(f"decay must be in [0, 1), got {decay}")
-        self.decay = decay
-        self.eps = eps
-        self._avg = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for p, avg in zip(self.params, self._avg):
-            if p.grad is None:
-                continue
-            avg *= self.decay
-            avg += (1.0 - self.decay) * p.grad * p.grad
-            p.data -= self.lr * p.grad / (np.sqrt(avg) + self.eps)
-
-
 def global_grad_norm(params: Iterable[Tensor]) -> float:
     """Global L2 norm of the parameters' gradients; ``None`` grads are skipped."""
     return math.sqrt(
@@ -229,31 +146,3 @@ def clip_grad_norm(params: Iterable[Tensor], max_norm: float) -> float:
         for p in params:
             p.grad = p.grad * scale
     return total
-
-
-class StepLR:
-    """Multiply the optimizer's lr by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.5):
-        if step_size <= 0:
-            raise ValueError("step_size must be positive")
-        self.optimizer = optimizer
-        self.step_size = step_size
-        self.gamma = gamma
-        self._epoch = 0
-
-    def step(self) -> None:
-        self._epoch += 1
-        if self._epoch % self.step_size == 0:
-            self.optimizer.lr *= self.gamma
-
-
-class ExponentialLR:
-    """Multiply the optimizer's lr by ``gamma`` every epoch."""
-
-    def __init__(self, optimizer: Optimizer, gamma: float = 0.95):
-        self.optimizer = optimizer
-        self.gamma = gamma
-
-    def step(self) -> None:
-        self.optimizer.lr *= self.gamma

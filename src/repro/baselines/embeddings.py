@@ -1,8 +1,8 @@
 """Skip-gram with negative sampling (SGNS), shared by DeepWalk and LINE.
 
 Vectorized numpy implementation: minibatches of (center, context) pairs plus
-``k`` negatives drawn from the unigram^0.75 table, trained with SGD on the
-standard SGNS objective  log σ(u·v) + Σ log σ(−u·v⁻).
+``k`` negatives drawn from the unigram^0.75 table, trained by stochastic
+gradient descent on the standard SGNS objective  log σ(u·v) + Σ log σ(−u·v⁻).
 """
 
 from __future__ import annotations
@@ -68,7 +68,8 @@ class SkipGramModel:
         epochs: int = 1,
         batch_size: int = 128,
     ) -> float:
-        """SGD over (center, context) pairs; returns the mean final-epoch loss."""
+        """Gradient steps over (center, context) pairs; returns the mean
+        final-epoch loss."""
         centers = np.asarray(centers, dtype=np.intp)
         contexts = np.asarray(contexts, dtype=np.intp)
         if centers.shape != contexts.shape or centers.ndim != 1:

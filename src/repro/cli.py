@@ -14,14 +14,9 @@ tune       grid-search FakeDetector hyperparameters with inner CV
 report     write the complete reproduction artifact set to a directory
 infer      one-shot inductive scoring from a saved detector checkpoint
            (emits one repro.serve.response/1 document)
-serve      prediction serving, two modes:
-           ``serve http`` runs the multi-process sharded service
+serve      ``serve http`` runs the multi-process sharded service
            (POST /v1/predict + /v1/healthz + /metrics; --workers/--shards
-           size the pool, --slo-* budgets drive /v1/healthz);
-           ``serve batch`` is the micro-batched JSONL replay loop
-           (--metrics-port exposes /metrics + /healthz).
-           Bare ``serve MODEL --input F`` still works (deprecated alias
-           for ``serve batch``).
+           size the pool, --slo-* budgets drive /v1/healthz)
 obs        observability utilities: ``obs report`` renders a trace
            (including drift breach/recover summaries when present),
            ``obs trace`` renders one merged distributed request timeline
@@ -337,26 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="include the 6-class softmax distribution")
     p_infer.set_defaults(func=cmd_infer)
 
-    p_serve = sub.add_parser(
-        "serve", help="prediction serving (http service / batch replay)"
-    )
+    p_serve = sub.add_parser("serve", help="prediction serving")
     serve_sub = p_serve.add_subparsers(dest="serve_command", required=True)
-
-    def _add_slo_args(parser: argparse.ArgumentParser) -> None:
-        parser.add_argument("--slo-p95-ms", type=float, default=None,
-                            help="SLO: rolling p95 per-request latency budget "
-                                 "in milliseconds")
-        parser.add_argument("--slo-error-rate", type=float, default=None,
-                            help="SLO: rolling error-rate budget (0..1)")
-        parser.add_argument("--slo-queue-wait-ms", type=float, default=None,
-                            help="SLO: rolling p95 queue-wait budget in "
-                                 "milliseconds")
-        parser.add_argument("--slo-drift-psi", type=float, default=None,
-                            help="SLO: rolling mean class-distribution PSI "
-                                 "budget (needs a drift baseline)")
-        parser.add_argument("--slo-window", type=float, default=60.0,
-                            help="rolling SLO window in seconds")
-
     p_serve_http = serve_sub.add_parser(
         "http", help="multi-process sharded HTTP prediction service"
     )
@@ -413,39 +390,17 @@ def build_parser() -> argparse.ArgumentParser:
                                    "GET /debug/profile?seconds=N returns the "
                                    "merged per-shard capture (works unarmed "
                                    "too, via temporary samplers)")
-    _add_slo_args(p_serve_http)
+    p_serve_http.add_argument("--slo-p95-ms", type=float, default=None,
+                              help="SLO: rolling p95 per-request latency "
+                                   "budget in milliseconds")
+    p_serve_http.add_argument("--slo-error-rate", type=float, default=None,
+                              help="SLO: rolling error-rate budget (0..1)")
+    p_serve_http.add_argument("--slo-drift-psi", type=float, default=None,
+                              help="SLO: rolling mean class-distribution PSI "
+                                   "budget (needs a drift baseline)")
+    p_serve_http.add_argument("--slo-window", type=float, default=60.0,
+                              help="rolling SLO window in seconds")
     p_serve_http.set_defaults(func=cmd_serve_http)
-
-    p_serve_batch = serve_sub.add_parser(
-        "batch", help="micro-batched serving loop over JSONL requests"
-    )
-    p_serve_batch.add_argument("model", type=Path,
-                               help="detector checkpoint directory")
-    p_serve_batch.add_argument("--input", type=Path, default=None,
-                               help="JSONL request stream (default: stdin)")
-    p_serve_batch.add_argument("--proba", action="store_true")
-    p_serve_batch.add_argument("--max-batch-size", type=int, default=32,
-                               help="micro-batch cap in requests (one "
-                                    "article each)")
-    p_serve_batch.add_argument("--max-wait", type=float, default=0.01,
-                               help="seconds to coalesce a micro-batch")
-    p_serve_batch.add_argument("--cache-size", type=int, default=2048,
-                               help="LRU text-feature cache entries "
-                                    "(0 disables)")
-    p_serve_batch.add_argument("--metrics-port", type=int, default=None,
-                               help="expose /metrics (Prometheus) and "
-                                    "/healthz on this port (0 = ephemeral, "
-                                    "printed to stderr)")
-    p_serve_batch.add_argument("--drift-baseline", default=None,
-                               metavar="auto|PATH",
-                               help="arm an in-process drift monitor: 'auto' "
-                                    "uses the checkpoint's "
-                                    "drift_baseline.json, or give an "
-                                    "explicit profile path")
-    p_serve_batch.add_argument("--drift-threshold", type=float, default=0.25,
-                               help="PSI level that flags a drift breach")
-    _add_slo_args(p_serve_batch)
-    p_serve_batch.set_defaults(func=cmd_serve_batch)
 
     p_obs = sub.add_parser("obs", help="observability utilities")
     obs_sub = p_obs.add_subparsers(dest="obs_command", required=True)
@@ -865,23 +820,6 @@ def cmd_infer(args) -> int:
     return 0
 
 
-def _build_slo_rules(args):
-    from .obs import default_serving_rules
-
-    return default_serving_rules(
-        p95_latency_s=(
-            args.slo_p95_ms / 1e3 if args.slo_p95_ms is not None else None
-        ),
-        error_rate=args.slo_error_rate,
-        queue_wait_p95_s=(
-            args.slo_queue_wait_ms / 1e3
-            if args.slo_queue_wait_ms is not None else None
-        ),
-        drift_psi=args.slo_drift_psi,
-        window_seconds=args.slo_window,
-    )
-
-
 def cmd_serve_http(args) -> int:
     """Run the multi-process sharded prediction service.
 
@@ -895,7 +833,7 @@ def cmd_serve_http(args) -> int:
     """
     import time as time_mod
 
-    from .obs import PeriodicExporter, SloMonitor
+    from .obs import PeriodicExporter, SloMonitor, default_serving_rules
     from .serve import PredictionService
 
     service = PredictionService(
@@ -914,7 +852,14 @@ def cmd_serve_http(args) -> int:
         drift_threshold=args.drift_threshold,
         profile_hz=args.profile_hz,
     )
-    rules = _build_slo_rules(args)
+    rules = default_serving_rules(
+        p95_latency_s=(
+            args.slo_p95_ms / 1e3 if args.slo_p95_ms is not None else None
+        ),
+        error_rate=args.slo_error_rate,
+        drift_psi=args.slo_drift_psi,
+        window_seconds=args.slo_window,
+    )
     monitor = None
     if rules:
         monitor = SloMonitor(rules, registry=service.metrics.registry)
@@ -948,93 +893,6 @@ def cmd_serve_http(args) -> int:
             exporter.stop()
         service.close()
     print(service.metrics.render(), file=sys.stderr)
-    if monitor is not None and monitor.breached_rules:
-        print(f"SLO breached: {', '.join(monitor.breached_rules)}",
-              file=sys.stderr)
-        return 2
-    return 0
-
-
-def cmd_serve_batch(args) -> int:
-    """Long-lived loop: cached-state session + micro-batching queue.
-
-    Reads JSONL requests, submits each through the :class:`BatchQueue`
-    (exercising the same coalescing path a network front-end would), emits
-    one ``repro.serve.response/1`` line per request, and reports serving
-    metrics on exit. ``--metrics-port`` adds a live Prometheus scrape
-    endpoint; the ``--slo-*`` budgets attach an
-    :class:`repro.obs.SloMonitor` whose breaches flip ``/healthz`` to 503
-    and emit structured warning events.
-    """
-    import json
-
-    from .obs import MetricsServer, SloMonitor
-    from .serve import (
-        BatchQueue,
-        InferenceSession,
-        PredictResponse,
-        checkpoint_digest,
-    )
-
-    detector = FakeDetector.load(args.model)
-    digest = checkpoint_digest(args.model)
-    rules = _build_slo_rules(args)
-    metrics = None
-    monitor = None
-    session = InferenceSession(detector, feature_cache_size=args.cache_size)
-    if rules:
-        monitor = SloMonitor(rules, registry=session.metrics.registry)
-        session.slo = monitor
-    if args.drift_baseline is not None:
-        from .obs.drift import BaselineProfile, DriftMonitor, load_baseline
-
-        if args.drift_baseline == "auto":
-            baseline = load_baseline(args.model)
-        else:
-            baseline = BaselineProfile.load(args.drift_baseline)
-        if baseline is not None:
-            session.drift = DriftMonitor(
-                baseline,
-                threshold=args.drift_threshold,
-                registry=session.metrics.registry,
-                slo=monitor,
-            )
-        else:
-            print(f"no drift baseline in {args.model}; monitor disarmed",
-                  file=sys.stderr)
-    if args.metrics_port is not None:
-        metrics = MetricsServer(
-            session.metrics.registry,
-            port=args.metrics_port,
-            health=monitor.health if monitor else None,
-        ).start()
-        print(f"metrics at {metrics.url}/metrics", file=sys.stderr)
-    print(
-        f"serving {args.model} "
-        f"(max_batch_size={args.max_batch_size}, max_wait={args.max_wait}s)",
-        file=sys.stderr,
-    )
-
-    def handle(batch):
-        return session.predict(batch, return_proba=args.proba)
-
-    try:
-        with BatchQueue(handle, max_batch_size=args.max_batch_size,
-                        max_wait=args.max_wait,
-                        metrics=session.metrics, slo=monitor) as batch_queue:
-            pending = [
-                (request, batch_queue.submit(request))
-                for request in _read_requests(args.input)
-            ]
-            for _, handle_ in pending:
-                response = PredictResponse.from_predictions(
-                    [handle_.result(timeout=60.0)], model_digest=digest
-                )
-                print(json.dumps(response.to_dict()))
-    finally:
-        if metrics is not None:
-            metrics.close()
-    print(session.metrics.render(), file=sys.stderr)
     if monitor is not None and monitor.breached_rules:
         print(f"SLO breached: {', '.join(monitor.breached_rules)}",
               file=sys.stderr)
@@ -1095,30 +953,8 @@ def cmd_tune(args) -> int:
     return 0
 
 
-def _compat_serve_argv(argv: List[str]) -> List[str]:
-    """Rewrite the pre-split ``repro serve MODEL ...`` form to ``serve batch``.
-
-    ``repro serve`` grew ``http``/``batch`` sub-modes; the bare historical
-    invocation keeps working (as ``batch``) with a deprecation notice.
-    """
-    if not argv or argv[0] != "serve" or len(argv) < 2:
-        return argv
-    mode = argv[1]
-    if mode in ("http", "batch") or mode.startswith("-"):
-        return argv
-    print(
-        "deprecated: bare `repro serve MODEL` is now `repro serve batch "
-        "MODEL` (see also `repro serve http`)",
-        file=sys.stderr,
-    )
-    return [argv[0], "batch", *argv[1:]]
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    args = parser.parse_args(_compat_serve_argv(list(argv)))
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..autograd import Tensor
+from ..autograd import Tensor, no_tape
 from ..autograd import functional as F
 from ..data.schema import CredibilityLabel
 
@@ -69,7 +69,8 @@ def predictions_from_logits(
     Probabilities come from the autograd :func:`repro.autograd.functional
     .softmax`, taken in float64 whatever the logits' dtype: the cast of
     float32 logits is exact, so classes are unchanged, and the wire
-    probabilities and ``predict_proba`` stay float64.
+    probabilities and ``predict_proba`` stay float64. The softmax runs
+    under ``no_tape()``, so no caller records it.
     """
     logits = np.asarray(logits)
     if logits.ndim != 2 or logits.shape[0] != len(ids):
@@ -77,11 +78,10 @@ def predictions_from_logits(
             f"logits shape {logits.shape} does not align with {len(ids)} ids"
         )
     classes = logits.argmax(axis=1)
-    probs = (
-        F.softmax(Tensor(logits.astype(np.float64, copy=False))).data
-        if return_proba
-        else None
-    )
+    probs = None
+    if return_proba:
+        with no_tape():
+            probs = F.softmax(Tensor(logits.astype(np.float64, copy=False))).data
     return [
         Prediction(
             entity_id=eid,

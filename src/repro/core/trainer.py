@@ -224,8 +224,8 @@ class FakeDetector:
                     self.record.epoch_seconds.append(seconds)
                     self.record.grad_norms.append(stats["grad_norm"])
                     # Publish the epoch to the global registry so a live
-                    # exporter (PeriodicExporter / MetricsServer) can scrape
-                    # training progress while fit() runs.
+                    # PeriodicExporter can flush training progress while
+                    # fit() runs.
                     registry.counter("train.epochs").inc()
                     registry.gauge("train.loss").set(losses["total"])
                     registry.gauge("train.grad_norm").set(stats["grad_norm"])
@@ -451,12 +451,9 @@ class FakeDetector:
         numerics are computed in exactly one place.
         """
         logits = self.predict_logits()[kind]
-        entity = self.features.by_type(kind)
-        # The probabilities' softmax records no tape either.
-        with no_tape():
-            return predictions_from_logits(
-                entity.ids, logits, return_proba=return_proba
-            )
+        return predictions_from_logits(
+            self.features.by_type(kind).ids, logits, return_proba=return_proba
+        )
 
     def predict(self, kind: str, *, return_proba: bool = False):
         """Predicted class for every node of ``kind``.
@@ -487,7 +484,7 @@ class FakeDetector:
         Built lazily on first use (one full-graph forward pass) and reused
         until the next :meth:`fit`. Pass ``refresh=True`` after mutating
         the model/features out-of-band; keyword arguments (cache size,
-        shared metrics) force a fresh, uncached session.
+        shard context, drift monitor) force a fresh, uncached session.
         """
         from ..serve.session import InferenceSession
 

@@ -29,8 +29,7 @@ Building blocks shared by training, serving and the autograd engine:
   bytes, peak live bytes and allocation lifetimes to tape ops, with a
   live-tensor census by shape/dtype.
 - :mod:`repro.obs.export` — Prometheus text / JSON snapshot writers over a
-  registry, a :class:`PeriodicExporter` background flusher, and the stdlib
-  :class:`MetricsServer` serving ``/metrics`` + ``/healthz``.
+  registry and a :class:`PeriodicExporter` background flusher.
 - :mod:`repro.obs.runs` — persistent :class:`RunRegistry` of per-run JSON
   records (``results/runs/``) and :func:`diff_runs` regression gating.
 - :mod:`repro.obs.slo` — rolling-window :class:`SloMonitor` emitting
@@ -40,8 +39,8 @@ Building blocks shared by training, serving and the autograd engine:
 CLI surface: ``repro train --trace t.jsonl --profile --profile-memory``
 records a run (and a ``results/runs/`` record by default), ``repro obs
 report t.jsonl [--json]`` renders it, ``repro obs diff <a> <b>`` gates two
-run records, and ``repro serve batch --metrics-port`` exposes the scrape
-endpoint (``repro serve http`` serves ``/metrics`` on its own port).
+run records, and ``repro serve http`` serves the scrape endpoint
+(``/metrics``) and ``/v1/healthz`` on its own port.
 """
 
 from .context import (
@@ -62,7 +61,6 @@ from .drift import (
     DRIFT_BASELINE_FILE,
     DriftMonitor,
     bernoulli_psi,
-    drift_slo_rule,
     kl_divergence,
     load_baseline,
     psi,
@@ -79,7 +77,6 @@ from .events import (
     reset_logging,
 )
 from .export import (
-    MetricsServer,
     PeriodicExporter,
     PROMETHEUS_CONTENT_TYPE,
     SNAPSHOT_SCHEMA,
@@ -175,7 +172,6 @@ __all__ = [
     "DRIFT_BASELINE_FILE",
     "DriftMonitor",
     "bernoulli_psi",
-    "drift_slo_rule",
     "kl_divergence",
     "load_baseline",
     "psi",
@@ -190,7 +186,6 @@ __all__ = [
     "read_events",
     "reset_logging",
     # export
-    "MetricsServer",
     "PeriodicExporter",
     "PROMETHEUS_CONTENT_TYPE",
     "SNAPSHOT_SCHEMA",

@@ -19,10 +19,12 @@ Three profile axes: predicted class distribution, max-softmax confidence
 histogram (10 equal bins over [0, 1]), and per-feature Bernoulli
 activation rates of the explicit BoW vector (summarized as the mean
 per-feature PSI). A :class:`DriftMonitor` windows per-batch aggregates —
-counts, not raw rows — so memory stays O(batches), feeds ``drift_*``
-gauges, an optional :class:`SloRule`, and emits edge-triggered
-``obs.drift.breach`` / ``obs.drift.recover`` events exactly like
-:class:`repro.obs.slo.SloMonitor` does for latency.
+counts, not raw rows — so memory stays O(batches), and emits
+edge-triggered ``obs.drift.breach`` / ``obs.drift.recover`` events exactly
+like :class:`repro.obs.slo.SloMonitor` does for latency. In ``repro serve
+http`` each worker runs one and ships :meth:`DriftMonitor.summary` with
+every result, and the front end exports the per-shard ``drift_*`` gauges
+and feeds the class PSI to its SLO monitor.
 """
 
 from __future__ import annotations
@@ -37,15 +39,12 @@ from typing import Deque, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from .events import get_logger
-from .metrics import MetricsRegistry
-from .slo import SloMonitor, SloRule
 from .tracing import get_tracer
 
 PathLike = Union[str, Path]
 
 BASELINE_SCHEMA = "repro.obs.drift_baseline/1"
 DRIFT_BASELINE_FILE = "drift_baseline.json"
-DRIFT_SIGNAL = "drift_class_psi"
 
 #: Bin edges for the max-softmax confidence histogram.
 CONFIDENCE_EDGES = tuple(i / 10 for i in range(11))
@@ -211,18 +210,6 @@ def load_baseline(checkpoint_dir: PathLike) -> Optional[BaselineProfile]:
     return BaselineProfile.load(path)
 
 
-def drift_slo_rule(
-    threshold: float,
-    window_seconds: float = 60.0,
-    min_samples: int = 3,
-) -> SloRule:
-    """The rule wiring sustained drift into ``/v1/healthz`` degradation."""
-    return SloRule(
-        "drift_psi", DRIFT_SIGNAL, "mean", threshold,
-        window_seconds=window_seconds, min_samples=min_samples,
-    )
-
-
 # ----------------------------------------------------------------------
 # Rolling-window monitor
 # ----------------------------------------------------------------------
@@ -244,12 +231,8 @@ class DriftMonitor:
     window: max prediction samples retained (by whole batches).
     threshold: PSI breach level (0.25 ≈ "significant shift").
     min_samples: observations required before any verdict.
-    registry: optional gauges target (``drift.*`` names, plus a
-        ``.shard<N>`` suffix when ``shard`` is set).
-    slo: optional :class:`SloMonitor` fed the class PSI under the
-        ``drift_class_psi`` signal (pair with :func:`drift_slo_rule`).
     logger: event logger; defaults to ``get_logger("obs.drift")``.
-    shard: shard index for gauge naming / event attribution.
+    shard: shard index for event attribution.
     """
 
     def __init__(
@@ -259,8 +242,6 @@ class DriftMonitor:
         window: int = 1024,
         threshold: float = 0.25,
         min_samples: int = 50,
-        registry: Optional[MetricsRegistry] = None,
-        slo: Optional[SloMonitor] = None,
         logger=None,
         shard: Optional[int] = None,
     ):
@@ -271,8 +252,6 @@ class DriftMonitor:
         self.threshold = threshold
         self.min_samples = min_samples
         self.shard = shard
-        self._registry = registry
-        self._slo = slo
         self._logger = logger if logger is not None else get_logger("obs.drift")
         self._lock = threading.Lock()
         self._batches: Deque[Tuple[int, np.ndarray, np.ndarray, np.ndarray]] = deque()
@@ -320,7 +299,7 @@ class DriftMonitor:
             )
 
     def evaluate(self) -> Dict:
-        """Compute divergences, update gauges/SLO, fire edge events."""
+        """Compute divergences and fire edge events."""
         n, class_counts, conf_counts, act_counts = self._window_totals()
         summary: Dict = {
             "samples": n,
@@ -348,27 +327,9 @@ class DriftMonitor:
                 summary["class_psi"] > self.threshold
                 or summary["confidence_psi"] > self.threshold
             )
-        self._export(summary)
         self._transition(summary)
         self._last_summary = summary
         return summary
-
-    def _gauge_name(self, key: str) -> str:
-        name = f"drift.{key}"
-        if self.shard is not None:
-            name += f".shard{self.shard}"
-        return name
-
-    def _export(self, summary: Dict) -> None:
-        if self._registry is not None:
-            for key in ("class_psi", "confidence_psi", "feature_psi"):
-                if summary[key] is not None:
-                    self._registry.gauge(self._gauge_name(key)).set(summary[key])
-            self._registry.gauge(self._gauge_name("samples")).set(
-                summary["samples"]
-            )
-        if self._slo is not None and summary["class_psi"] is not None:
-            self._slo.observe(DRIFT_SIGNAL, summary["class_psi"])
 
     def _transition(self, summary: Dict) -> None:
         breached = bool(summary["breached"])

@@ -1,4 +1,4 @@
-"""Metric exporters: Prometheus text format, JSON snapshots, scrape endpoint.
+"""Metric exporters: Prometheus text format and JSON snapshots.
 
 Everything in a :class:`repro.obs.metrics.MetricsRegistry` dies with the
 process unless it leaves in a scrape-able shape. This module is the export
@@ -13,10 +13,10 @@ layer:
   under the stable schema ``repro.obs.metrics/1``.
 - :class:`PeriodicExporter` — background thread flushing either format to a
   file on an interval, with atomic replace and a clean shutdown flush.
-- :class:`MetricsServer` — a stdlib ``http.server`` endpoint exposing
-  ``/metrics`` (Prometheus text) and ``/healthz`` (JSON; 503 once an
-  attached health callback reports degradation). ``repro serve batch
-  --metrics-port`` wires it to the live serving registry.
+
+The live scrape endpoint is ``GET /metrics`` of ``repro serve http``
+(:class:`repro.serve.PredictionService`), which renders its registry with
+:func:`render_prometheus` under :data:`PROMETHEUS_CONTENT_TYPE`.
 
 :func:`parse_prometheus` is a minimal reader for the exposition format so
 tests (and the run differ) can round-trip what the writer emits, including
@@ -31,9 +31,8 @@ import os
 import re
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from .lifecycle import flush_at_exit, unregister_flush
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -343,105 +342,3 @@ class PeriodicExporter:
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
-
-
-# ----------------------------------------------------------------------
-# Scrape endpoint
-# ----------------------------------------------------------------------
-class MetricsServer:
-    """Stdlib HTTP endpoint exposing ``/metrics`` and ``/healthz``.
-
-    Parameters
-    ----------
-    registry:
-        Registry rendered on every ``/metrics`` scrape.
-    host / port:
-        Bind address; ``port=0`` picks an ephemeral port (read it back from
-        :attr:`port` — handy for tests and for `repro serve batch` logs).
-    labels:
-        Constant labels stamped on every sample.
-    health:
-        Optional zero-arg callable returning a JSON-serializable dict with a
-        ``"status"`` key; anything other than ``"ok"`` turns ``/healthz``
-        into a 503 (the conventional load-balancer eject signal). Defaults
-        to always-ok. :meth:`repro.obs.slo.SloMonitor.health` slots in
-        directly.
-    """
-
-    def __init__(
-        self,
-        registry: MetricsRegistry,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        labels: Optional[Dict[str, str]] = None,
-        health: Optional[Callable[[], Dict]] = None,
-    ):
-        self.registry = registry
-        self.labels = dict(labels) if labels else {}
-        self._health = health or (lambda: {"status": "ok"})
-        self._started = time.time()
-        server = self
-
-        class _Handler(BaseHTTPRequestHandler):
-            server_version = "repro-metrics/1"
-
-            def do_GET(self) -> None:  # stdlib handler naming contract
-                route = self.path.split("?", 1)[0]
-                if route == "/metrics":
-                    body = render_prometheus(
-                        server.registry, labels=server.labels
-                    ).encode("utf-8")
-                    self._reply(200, PROMETHEUS_CONTENT_TYPE, body)
-                elif route == "/healthz":
-                    payload = dict(server._health())
-                    payload.setdefault("uptime_seconds", time.time() - server._started)
-                    status = 200 if payload.get("status") == "ok" else 503
-                    body = json.dumps(payload, sort_keys=True).encode("utf-8")
-                    self._reply(status, "application/json", body)
-                else:
-                    body = json.dumps({"error": "not found"}).encode("utf-8")
-                    self._reply(404, "application/json", body)
-
-            def _reply(self, status: int, content_type: str, body: bytes) -> None:
-                self.send_response(status)
-                self.send_header("Content-Type", content_type)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, fmt: str, *args) -> None:
-                from .events import get_logger
-
-                get_logger("obs.http").debug("request", detail=fmt % args)
-
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
-        self.host, self.port = self._httpd.server_address[:2]
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "MetricsServer":
-        if self._thread is not None and self._thread.is_alive():
-            raise RuntimeError("MetricsServer already started")
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            daemon=True,
-            name="repro-metrics-http",
-        )
-        self._thread.start()
-        return self
-
-    def close(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(5.0)
-            self._thread = None
-
-    def __enter__(self) -> "MetricsServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -4,17 +4,16 @@ The serving path ("millions of users" on the ROADMAP) needs a health signal
 that reacts while the process runs, not a post-mortem snapshot. An
 :class:`SloMonitor` holds a set of :class:`SloRule` objects — each one
 "aggregate of a signal over a rolling time window, compared to a
-threshold" — and is fed observations by :class:`repro.serve.InferenceSession`
-(per-request latency) and :class:`repro.serve.BatchQueue` (queue wait,
-queue depth, handler errors).
+threshold" — and is fed observations by
+:class:`repro.serve.PredictionService`: each request's latency, its
+success or error, the in-flight depth, and each shard's drift class PSI.
 
 Breaches are *edge-triggered* structured events: the monitor emits one
 ``obs.slo.breach`` warning when a rule crosses into violation and one
 ``obs.slo.recover`` info event when it heals, rather than spamming every
-evaluation. Current state is available as :meth:`health` in exactly the
-shape :class:`repro.obs.export.MetricsServer` expects for ``/healthz``,
-so a breached SLO flips the endpoint to 503 — the conventional
-load-balancer eject signal.
+evaluation. Current state is available as :meth:`health`; the service
+nests it under ``slo`` in ``/v1/healthz``, and a breached SLO flips that
+endpoint to 503 — the conventional load-balancer eject signal.
 
 Signals are windows of ``(monotonic_ts, value)`` pairs. The ``error_rate``
 aggregate treats values as 0/1 failure flags; ``p50``/``p95``/``p99``/
@@ -34,6 +33,9 @@ from .metrics import MetricsRegistry, percentile
 
 #: Aggregates a rule may apply over its window.
 AGGREGATES = ("p50", "p95", "p99", "mean", "max", "last", "error_rate")
+
+#: Signal carrying each drift summary's class PSI (the ``drift_psi`` rule).
+DRIFT_SIGNAL = "drift_class_psi"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -76,7 +78,6 @@ class SloStatus:
 def default_serving_rules(
     p95_latency_s: Optional[float] = None,
     error_rate: Optional[float] = None,
-    queue_wait_p95_s: Optional[float] = None,
     queue_depth: Optional[float] = None,
     drift_psi: Optional[float] = None,
     window_seconds: float = 60.0,
@@ -85,7 +86,7 @@ def default_serving_rules(
     rules: List[SloRule] = []
     if drift_psi is not None:
         rules.append(SloRule(
-            "drift_psi", "drift_class_psi", "mean", drift_psi,
+            "drift_psi", DRIFT_SIGNAL, "mean", drift_psi,
             window_seconds=window_seconds,
         ))
     if p95_latency_s is not None:
@@ -96,11 +97,6 @@ def default_serving_rules(
     if error_rate is not None:
         rules.append(SloRule(
             "error_rate", "errors", "error_rate", error_rate,
-            window_seconds=window_seconds,
-        ))
-    if queue_wait_p95_s is not None:
-        rules.append(SloRule(
-            "queue_wait_p95", "queue_wait_seconds", "p95", queue_wait_p95_s,
             window_seconds=window_seconds,
         ))
     if queue_depth is not None:
@@ -166,9 +162,6 @@ class SloMonitor:
 
     def observe_latency(self, seconds: float) -> None:
         self.observe("latency_seconds", seconds)
-
-    def observe_queue_wait(self, seconds: float) -> None:
-        self.observe("queue_wait_seconds", seconds)
 
     def observe_queue_depth(self, depth: int) -> None:
         self.observe("queue_depth", float(depth))

@@ -1,4 +1,4 @@
-"""Persistent inference subsystem: checkpoints, sessions, service, batching.
+"""Persistent inference subsystem: checkpoints, sessions and the service.
 
 The serving stack, bottom-up:
 
@@ -9,8 +9,6 @@ The serving stack, bottom-up:
 - :class:`InferenceSession` — runs the full-graph forward once, caches the
   creator/subject GDU states, then scores via one keyword-driven
   :meth:`InferenceSession.predict` (new articles and/or known node ids).
-- :class:`BatchQueue` — in-process micro-batching queue (the ``serve
-  batch`` path).
 - :class:`ShardPlan` — community partitioning of the News-HSN plus the
   deterministic article → shard router.
 - :mod:`repro.serve.worker` / :class:`PredictionService` — the
@@ -40,7 +38,6 @@ Typical embedded session::
 """
 
 from ..core.predictions import Prediction, predictions_from_logits
-from .batching import BatchQueue, PendingResult, QueueStopped
 from .cache import LRUCache
 from .checkpoint import (
     CHECKPOINT_FORMAT,
@@ -75,9 +72,6 @@ __all__ = [
     "predictions_from_logits",
     "InferenceSession",
     "ArticleRequest",
-    "BatchQueue",
-    "PendingResult",
-    "QueueStopped",
     "LRUCache",
     "ServingMetrics",
     "save_detector",

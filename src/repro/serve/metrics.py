@@ -8,24 +8,17 @@ window and the percentile math all come from the shared implementation —
 while :meth:`snapshot` keeps its historical keys, so existing dashboards
 and tests read the same report.
 
-Latency accounting distinguishes two paths:
-
-- **direct** calls (``InferenceSession.predict`` with no queue):
-  every request in the batch is charged the compute share
-  ``seconds / size``, which *is* its latency because nothing waited;
-- **queued** calls (:class:`repro.serve.BatchQueue` with ``metrics=``):
-  the queue stamps each request's enqueue time and reports the true
-  end-to-end latency (queue wait + compute) per request, replacing the
-  compute-share approximation. The handler's in-batch ``record_batch``
-  runs under :meth:`deferred_latency` so the window never double-counts.
+Each of the ``size`` items a :meth:`ServingMetrics.record_batch` call
+accounts is charged the share ``seconds / size`` as its latency. An
+:class:`repro.serve.InferenceSession` passes its batch's compute time
+(nothing waited before the forward); :class:`repro.serve.PredictionService`
+passes one request's wall time, queue wait included, over its articles.
 """
 
 from __future__ import annotations
 
-import contextlib
-import threading
 import time
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 from ..obs.metrics import MetricsRegistry, percentile
 
@@ -51,10 +44,6 @@ class ServingMetrics:
         self._latency = self.registry.histogram(
             "serve.latency_seconds", window=latency_window
         )
-        self._queue_wait = self.registry.histogram(
-            "serve.queue_wait_seconds", window=latency_window
-        )
-        self._local = threading.local()
 
     # -- counter views (historical attribute API) ----------------------
     @property
@@ -79,40 +68,14 @@ class ServingMetrics:
 
     # ------------------------------------------------------------------
     def record_batch(self, size: int, seconds: float) -> None:
-        """Account one prediction batch of ``size`` requests.
-
-        Outside a queue the per-request latency is the compute share
-        ``seconds / size``; under :meth:`deferred_latency` the window is
-        left to the caller, who knows the true per-request waits.
-        """
+        """Account one prediction batch of ``size`` requests, each charged
+        the compute share ``seconds / size``."""
         if size <= 0:
             return
         self._requests.inc(size)
         self._batches.inc(1)
         self._busy.inc(seconds)
-        if not getattr(self._local, "defer_latency", False):
-            self._latency.observe_many([seconds / size] * size)
-
-    @contextlib.contextmanager
-    def deferred_latency(self):
-        """Suppress record_batch's synthetic latency entries on this thread.
-
-        :class:`repro.serve.BatchQueue` wraps handler invocations in this so
-        it can record the true enqueue-to-resolve latency per request
-        afterwards, instead of the handler's compute-share estimate.
-        """
-        self._local.defer_latency = True
-        try:
-            yield
-        finally:
-            self._local.defer_latency = False
-
-    def record_queued(
-        self, latencies: Sequence[float], queue_waits: Sequence[float]
-    ) -> None:
-        """True per-request latency (queue wait + compute) for one batch."""
-        self._latency.observe_many(latencies)
-        self._queue_wait.observe_many(queue_waits)
+        self._latency.observe_many([seconds / size] * size)
 
     def record_cache(self, hit: bool) -> None:
         (self._cache_hits if hit else self._cache_misses).inc(1)
@@ -127,7 +90,6 @@ class ServingMetrics:
         """Point-in-time report of everything the session has served."""
         elapsed = time.perf_counter() - self._started
         latency = self._latency.snapshot()
-        queue_wait = self._queue_wait.snapshot()
         requests = self.requests
         batches = self.batches
         cache_hits = self.cache_hits
@@ -146,10 +108,6 @@ class ServingMetrics:
             "cache_hits": cache_hits,
             "cache_misses": cache_misses,
             "cache_hit_rate": cache_hits / cache_total if cache_total else 0.0,
-            "queued_requests": int(queue_wait["count"]),
-            "queue_wait_mean_ms": 1e3 * queue_wait["mean"],
-            "queue_wait_p50_ms": 1e3 * queue_wait["p50"],
-            "queue_wait_p95_ms": 1e3 * queue_wait["p95"],
         }
 
     def render(self) -> str:

@@ -1,9 +1,9 @@
 """Versioned wire schemas for the prediction service.
 
-Every prediction surface — ``POST /v1/predict``, ``repro infer`` and
-``repro serve batch`` — serializes through the same two documents instead
-of ad-hoc dicts, so clients can pin a schema version and the server can
-reject what it does not speak:
+Both prediction surfaces — ``POST /v1/predict`` and ``repro infer`` —
+serialize through the same two documents instead of ad-hoc dicts, so
+clients can pin a schema version and the server can reject what it does
+not speak:
 
 - ``repro.serve.request/1`` — a batch of article payloads plus options::
 

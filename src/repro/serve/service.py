@@ -52,7 +52,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 from urllib.parse import parse_qs
 
-from ..obs import get_logger, render_prometheus
+from ..obs import PROMETHEUS_CONTENT_TYPE, get_logger, render_prometheus
 from ..obs.context import (
     REQUEST_ID_HEADER,
     TraceContext,
@@ -69,6 +69,7 @@ from ..obs.flame import (
     merge_profiles,
     render_flamegraph_svg,
 )
+from ..obs.slo import DRIFT_SIGNAL
 from ..obs.tracing import NULL_SPAN, TraceStore, Tracer
 from .checkpoint import checkpoint_digest
 from .metrics import ServingMetrics
@@ -161,7 +162,7 @@ class PredictionService:
     slo:
         Optional :class:`repro.obs.SloMonitor`; fed latency/error/depth
         signals (and, when drift monitoring is on, the per-shard class
-        PSI under ``drift_class_psi``), drives ``/v1/healthz``.
+        PSI as :data:`repro.obs.slo.DRIFT_SIGNAL`), drives ``/v1/healthz``.
     trace_dir:
         Optional directory for distributed request traces. When set, every
         ``predict`` call opens a ``serve.request`` root span, propagates a
@@ -504,7 +505,7 @@ class PredictionService:
         """Fold one worker's drift window summary into parent-side state.
 
         Exports per-shard ``drift_*`` gauges, feeds the SLO monitor's
-        ``drift_class_psi`` signal, and emits edge-triggered
+        :data:`~repro.obs.slo.DRIFT_SIGNAL`, and emits edge-triggered
         ``obs.drift.breach`` / ``obs.drift.recover`` events per shard.
         """
         with self._lock:
@@ -518,7 +519,7 @@ class PredictionService:
             float(summary.get("samples", 0))
         )
         if self.slo is not None and summary.get("class_psi") is not None:
-            self.slo.observe("drift_class_psi", float(summary["class_psi"]))
+            self.slo.observe(DRIFT_SIGNAL, float(summary["class_psi"]))
             self.slo.evaluate()
         breached = bool(summary.get("breached"))
         was = self._drift_breached.get(shard, False)
@@ -875,7 +876,7 @@ def _make_handler(service: PredictionService):
                 self._reply_json(status, payload)
             elif route == "/metrics":
                 body = render_prometheus(service.metrics.registry).encode("utf-8")
-                self._reply(200, "text/plain; version=0.0.4; charset=utf-8", body)
+                self._reply(200, PROMETHEUS_CONTENT_TYPE, body)
             elif route == "/debug/profile":
                 self._debug_profile()
             else:

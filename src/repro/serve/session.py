@@ -32,7 +32,6 @@ from .metrics import ServingMetrics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..core.trainer import FakeDetector
-    from ..obs.slo import SloMonitor
 
 
 @dataclasses.dataclass
@@ -72,14 +71,6 @@ class InferenceSession:
         A fitted detector (freshly trained or :meth:`FakeDetector.load`-ed).
     feature_cache_size:
         LRU capacity for per-text feature vectors (0 disables the cache).
-    metrics:
-        Optional shared :class:`ServingMetrics`; a fresh one by default.
-    slo:
-        Optional :class:`repro.obs.SloMonitor`. When set, every prediction
-        batch feeds the monitor's rolling latency window and triggers an
-        evaluation, so SLO breach events fire from inside the serving path
-        (a :class:`repro.serve.BatchQueue` sharing the same monitor adds
-        queue wait/depth and error-rate signals).
     context_ids:
         Optional ``{"creator": ids, "subject": ids}`` restriction of the
         cached diffusion context — the shard-local mode used by
@@ -101,8 +92,6 @@ class InferenceSession:
         detector: "FakeDetector",
         *,
         feature_cache_size: int = 2048,
-        metrics: Optional[ServingMetrics] = None,
-        slo: Optional["SloMonitor"] = None,
         context_ids: Optional[Dict[str, set]] = None,
         drift=None,
     ):
@@ -110,8 +99,7 @@ class InferenceSession:
             raise RuntimeError("InferenceSession requires a fitted detector")
         self.detector = detector
         self.config = detector.config
-        self.metrics = metrics or ServingMetrics()
-        self.slo = slo
+        self.metrics = ServingMetrics()
         self.drift = drift
         self._feature_cache = LRUCache(feature_cache_size)
 
@@ -323,13 +311,6 @@ class InferenceSession:
             result = predictions_from_logits(ids, logits, return_proba=return_proba)
             seconds = perf_counter() - start
             self.metrics.record_batch(len(articles), seconds)
-            if self.slo is not None:
-                # One sample per request (the compute share), matching the
-                # metrics accounting — a single fat batch must not count as
-                # one observation against min_samples.
-                for _ in range(len(articles)):
-                    self.slo.observe_latency(seconds / len(articles))
-                self.slo.evaluate()
             span.set(compute_seconds=seconds)
         return result
 

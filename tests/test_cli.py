@@ -126,37 +126,6 @@ class TestServing:
             assert 0 <= p["class_index"] <= 5
             assert len(p["proba"]) == 6
 
-    def test_serve_batch_streams_response_documents(self, checkpoint, tmp_path, capsys):
-        import json
-
-        requests = tmp_path / "stream.jsonl"
-        ids = self._write_requests(requests)
-        code = main([
-            "serve", "batch", str(checkpoint), "--input", str(requests),
-            "--max-batch-size", "4", "--max-wait", "0.005",
-        ])
-        assert code == 0
-        captured = capsys.readouterr()
-        docs = [json.loads(l) for l in captured.out.strip().splitlines()]
-        assert all(d["schema"] == "repro.serve.response/1" for d in docs)
-        returned = [p["entity_id"] for d in docs for p in d["predictions"]]
-        assert sorted(returned) == sorted(ids)
-        assert "serving metrics:" in captured.err
-        assert "throughput_rps" in captured.err
-
-    def test_bare_serve_compat_shim(self, checkpoint, tmp_path, capsys):
-        import json
-
-        requests = tmp_path / "compat.jsonl"
-        ids = self._write_requests(requests)
-        code = main(["serve", str(checkpoint), "--input", str(requests)])
-        assert code == 0
-        captured = capsys.readouterr()
-        assert "deprecated" in captured.err
-        docs = [json.loads(l) for l in captured.out.strip().splitlines()]
-        returned = [p["entity_id"] for d in docs for p in d["predictions"]]
-        assert sorted(returned) == sorted(ids)
-
     def test_serve_http_round_trip(self, checkpoint, tmp_path, capsys):
         import json
         import urllib.request

@@ -260,14 +260,20 @@ class TestNeighbourStates:
 class TestTapeFreeEntryPoints:
     """The detector's inference methods record no tape."""
 
-    def test_predict_methods_record_no_ops(self, fitted):
+    def test_predict_methods_record_no_ops(self, fitted, requests_batch):
         detector, _ = fitted
+        session = InferenceSession(detector)
+        known_ids = [
+            detector.features.by_type(kind).ids[0]
+            for kind in ("article", "creator", "subject")
+        ]
         with OpProfiler() as profiler:
             detector.predict_logits()
             detector.predict("article")
             detector.predict_proba("creator")
             detector._validation_accuracy(np.arange(10))
             BaselineProfile.from_detector(detector)
+            session.predict(requests_batch, return_proba=True, known_ids=known_ids)
         assert profiler.snapshot()["forward"] == {}
 
     def test_predict_logits_equal_a_taped_forward(self, fitted):

@@ -10,10 +10,7 @@ from repro.obs import (
     BASELINE_SCHEMA,
     BaselineProfile,
     DriftMonitor,
-    MetricsRegistry,
-    SloMonitor,
     bernoulli_psi,
-    drift_slo_rule,
     kl_divergence,
     load_baseline,
     psi,
@@ -171,27 +168,6 @@ class TestDriftMonitor:
         for seed in range(5):
             monitor.observe_batch(*self._stable_batch(n=60, seed=seed))
         assert monitor.evaluate()["samples"] <= 100 + 60
-
-    def test_gauges_exported_with_shard_suffix(self):
-        registry = MetricsRegistry()
-        monitor = DriftMonitor(
-            make_baseline(), min_samples=10, registry=registry, shard=2
-        )
-        monitor.observe_batch(*self._stable_batch())
-        snapshot = registry.snapshot()
-        assert "drift.class_psi.shard2" in snapshot
-        assert "drift.confidence_psi.shard2" in snapshot
-        assert "drift.samples.shard2" in snapshot
-
-    def test_slo_rule_degrades_health(self):
-        slo = SloMonitor([drift_slo_rule(0.25, min_samples=1)])
-        monitor = DriftMonitor(
-            make_baseline(), min_samples=10, threshold=0.25, slo=slo
-        )
-        monitor.observe_batch(*self._shifted_batch())
-        slo.evaluate()
-        assert "drift_psi" in slo.breached_rules
-        assert slo.health()["status"] == "degraded"
 
     def test_health_reports_degraded_on_breach(self):
         monitor = DriftMonitor(make_baseline(), min_samples=10, threshold=0.25)

@@ -1,18 +1,14 @@
-"""Metric exporters: Prometheus text round-trip, JSON snapshot schema,
-periodic flushing and the /metrics + /healthz scrape endpoint."""
+"""Metric exporters: Prometheus text round-trip, JSON snapshot schema and
+periodic flushing."""
 
 import json
 import threading
-import urllib.error
-import urllib.request
 
 import pytest
 
 from repro.obs import (
     MetricsRegistry,
-    PROMETHEUS_CONTENT_TYPE,
     PeriodicExporter,
-    MetricsServer,
     SNAPSHOT_SCHEMA,
     json_snapshot,
     parse_prometheus,
@@ -145,45 +141,3 @@ class TestPeriodicExporter:
             PeriodicExporter(_registry(), tmp_path / "m", interval=0.0)
         with pytest.raises(ValueError):
             PeriodicExporter(_registry(), tmp_path / "m", fmt="xml")
-
-
-def _get(url):
-    try:
-        with urllib.request.urlopen(url, timeout=5.0) as response:
-            return response.status, dict(response.headers), response.read()
-    except urllib.error.HTTPError as err:
-        return err.code, dict(err.headers), err.read()
-
-
-class TestMetricsServer:
-    def test_metrics_endpoint_serves_exposition_text(self):
-        with MetricsServer(_registry()) as server:
-            status, headers, body = _get(f"{server.url}/metrics")
-        assert status == 200
-        assert headers["Content-Type"] == PROMETHEUS_CONTENT_TYPE
-        names = {s.name for s in parse_prometheus(body.decode())}
-        assert "repro_serve_requests_total" in names
-
-    def test_healthz_ok_by_default(self):
-        with MetricsServer(_registry()) as server:
-            status, _, body = _get(f"{server.url}/healthz")
-        payload = json.loads(body)
-        assert status == 200
-        assert payload["status"] == "ok"
-        assert payload["uptime_seconds"] >= 0.0
-
-    def test_healthz_degraded_is_503(self):
-        health = lambda: {"status": "degraded", "breached": ["latency_p95"]}
-        with MetricsServer(_registry(), health=health) as server:
-            status, _, body = _get(f"{server.url}/healthz")
-        assert status == 503
-        assert json.loads(body)["breached"] == ["latency_p95"]
-
-    def test_unknown_route_is_404(self):
-        with MetricsServer(_registry()) as server:
-            status, _, _ = _get(f"{server.url}/nope")
-        assert status == 404
-
-    def test_ephemeral_port_reported(self):
-        with MetricsServer(_registry()) as server:
-            assert server.port > 0

@@ -192,12 +192,6 @@ class TestServingMetricsFacade:
         snap = ServingMetrics().snapshot()
         assert self.LEGACY_KEYS <= set(snap)
 
-    def test_snapshot_adds_queue_keys(self):
-        snap = ServingMetrics().snapshot()
-        for key in ("queued_requests", "queue_wait_mean_ms",
-                    "queue_wait_p50_ms", "queue_wait_p95_ms"):
-            assert key in snap
-
     def test_attribute_api_still_works(self):
         metrics = ServingMetrics()
         metrics.record_batch(4, 0.2)
@@ -216,16 +210,3 @@ class TestServingMetricsFacade:
         snap = reg.snapshot()
         assert snap["serve.requests"] == 2.0
         assert snap["serve.latency_seconds.count"] == 2.0
-
-    def test_deferred_latency_suppresses_window_only(self):
-        metrics = ServingMetrics()
-        with metrics.deferred_latency():
-            metrics.record_batch(3, 0.3)
-        snap = metrics.snapshot()
-        assert snap["requests"] == 3
-        assert snap["latency_mean_ms"] == 0.0  # window untouched
-        metrics.record_queued(latencies=[0.5, 0.5, 0.5], queue_waits=[0.4, 0.4, 0.4])
-        snap = metrics.snapshot()
-        assert snap["latency_mean_ms"] == pytest.approx(500.0)
-        assert snap["queued_requests"] == 3
-        assert snap["queue_wait_mean_ms"] == pytest.approx(400.0)

@@ -151,41 +151,3 @@ class TestHealth:
         payload = monitor.health()
         assert payload["status"] == "degraded"
         assert payload["breached"] == ["latency_p95"]
-
-
-class TestServingIntegration:
-    def test_session_feeds_latency_per_request(self, small_dataset, small_split):
-        from repro.core import FakeDetector, FakeDetectorConfig
-        from repro.serve import ArticleRequest, InferenceSession
-
-        detector = FakeDetector(FakeDetectorConfig(epochs=1)).fit(
-            small_dataset, small_split
-        )
-        monitor, _, sink = _monitor([
-            SloRule("latency_p95", "latency_seconds", "p95", 1e-9,
-                    window_seconds=60.0, min_samples=3),
-        ])
-        session = InferenceSession(detector, slo=monitor)
-        requests = [
-            ArticleRequest(article_id=f"n{i}", text=f"claim number {i}")
-            for i in range(3)
-        ]
-        session.predict(requests)
-        assert [e.name for e in sink.events] == ["breach"]
-
-    def test_batch_queue_feeds_errors_and_queue_signals(self):
-        from repro.serve import BatchQueue
-
-        monitor, _, sink = _monitor([
-            SloRule("error_rate", "errors", "error_rate", 0.5,
-                    window_seconds=60.0, min_samples=1),
-        ])
-
-        def handler(items):
-            raise RuntimeError("boom")
-
-        with BatchQueue(handler, max_wait=0.0, slo=monitor) as queue:
-            pending = queue.submit("x")
-            with pytest.raises(RuntimeError):
-                pending.result(timeout=5.0)
-        assert [e.name for e in sink.events] == ["breach"]

@@ -1,128 +1,8 @@
-"""BatchQueue: micro-batch coalescing, concurrency, and failure modes."""
-
-import threading
-import time
+"""LRUCache and ServingMetrics: the session's feature cache and counters."""
 
 import pytest
 
-from repro.serve import BatchQueue, LRUCache, QueueStopped, ServingMetrics
-
-
-def echo_handler(items):
-    return [i * 2 for i in items]
-
-
-class TestBatching:
-    def test_single_item_round_trip(self):
-        with BatchQueue(echo_handler, max_batch_size=4, max_wait=0.005) as q:
-            assert q.predict(21) == 42
-
-    def test_coalesces_concurrent_submissions(self):
-        """Items submitted together are processed in fewer handler calls."""
-        batch_sizes = []
-
-        def handler(items):
-            batch_sizes.append(len(items))
-            return list(items)
-
-        with BatchQueue(handler, max_batch_size=16, max_wait=0.05) as q:
-            pendings = [q.submit(i) for i in range(12)]
-            results = [p.result(timeout=5.0) for p in pendings]
-        assert results == list(range(12))
-        assert sum(batch_sizes) == 12
-        assert len(batch_sizes) < 12  # actually batched, not one-by-one
-
-    def test_respects_max_batch_size(self):
-        batch_sizes = []
-
-        def handler(items):
-            batch_sizes.append(len(items))
-            return list(items)
-
-        with BatchQueue(handler, max_batch_size=3, max_wait=0.05) as q:
-            pendings = [q.submit(i) for i in range(10)]
-            for p in pendings:
-                p.result(timeout=5.0)
-        assert max(batch_sizes) <= 3
-
-    def test_concurrent_threads_smoke(self):
-        """Many client threads hammering the queue all get correct answers."""
-        results = {}
-        errors = []
-
-        with BatchQueue(echo_handler, max_batch_size=8, max_wait=0.002) as q:
-            def client(start, count):
-                try:
-                    for value in range(start, start + count):
-                        results[value] = q.predict(value, timeout=10.0)
-                except BaseException as exc:  # pragma: no cover - failure path
-                    errors.append(exc)
-
-            threads = [
-                threading.Thread(target=client, args=(base * 100, 25))
-                for base in range(6)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-
-        assert not errors
-        assert len(results) == 150
-        assert all(v == k * 2 for k, v in results.items())
-        assert q.batches_processed >= 1
-
-
-class TestFailureModes:
-    def test_handler_exception_propagates_to_waiters(self):
-        def bad_handler(items):
-            raise ValueError("boom")
-
-        with BatchQueue(bad_handler, max_batch_size=4, max_wait=0.001) as q:
-            pending = q.submit(1)
-            with pytest.raises(ValueError, match="boom"):
-                pending.result(timeout=5.0)
-
-    def test_length_mismatch_is_an_error(self):
-        with BatchQueue(lambda items: [], max_batch_size=4, max_wait=0.001) as q:
-            with pytest.raises(RuntimeError):
-                q.predict(1, timeout=5.0)
-
-    def test_submit_before_start_rejected(self):
-        q = BatchQueue(echo_handler)
-        with pytest.raises(RuntimeError):
-            q.submit(1)
-
-    def test_stop_rejects_unprocessed(self):
-        started = threading.Event()
-
-        def slow_handler(items):
-            started.set()
-            time.sleep(0.2)
-            return list(items)
-
-        q = BatchQueue(slow_handler, max_batch_size=1, max_wait=0.0).start()
-        first = q.submit(1)
-        started.wait(timeout=5.0)
-        late = q.submit(2)  # sits in the queue while the worker sleeps
-        q.stop(timeout=5.0)
-        assert first.result(timeout=1.0) == 1
-        if not late.done() or isinstance(late._error, QueueStopped):
-            with pytest.raises(QueueStopped):
-                late.result(timeout=1.0)
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            BatchQueue(echo_handler, max_batch_size=0)
-        with pytest.raises(ValueError):
-            BatchQueue(echo_handler, max_wait=-1.0)
-
-    def test_restart_after_stop(self):
-        q = BatchQueue(echo_handler, max_batch_size=2, max_wait=0.001)
-        with q:
-            assert q.predict(1, timeout=5.0) == 2
-        with q:
-            assert q.predict(2, timeout=5.0) == 4
+from repro.serve import LRUCache, ServingMetrics
 
 
 class TestLRUCache:
@@ -155,68 +35,6 @@ class TestLRUCache:
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
             LRUCache(maxsize=-1)
-
-
-class TestQueuedLatency:
-    """The queue must record true per-request latency, not compute-share."""
-
-    def test_submit_stamps_enqueue_time(self):
-        with BatchQueue(echo_handler, max_batch_size=2, max_wait=0.001) as q:
-            pending = q.submit(1)
-            assert pending.enqueued_at is not None
-            pending.result(timeout=5.0)
-
-    def test_true_latency_includes_queue_wait(self):
-        """A fast handler behind a slow batch window must report the full
-        enqueue-to-resolve time, not handler_seconds / batch_size."""
-        metrics = ServingMetrics()
-
-        def slow_handler(items):
-            metrics.record_batch(len(items), 0.001)  # what a session does
-            time.sleep(0.05)
-            return list(items)
-
-        with BatchQueue(
-            slow_handler, max_batch_size=4, max_wait=0.001, metrics=metrics
-        ) as q:
-            q.predict(1, timeout=5.0)
-
-        snap = metrics.snapshot()
-        # Old bug: latency would be 0.001 / 1 = 1ms. True latency spans the
-        # 50ms handler sleep.
-        assert snap["latency_p50_ms"] >= 50.0
-        assert snap["queued_requests"] == 1
-        assert snap["requests"] == 1  # deferred_latency kept counters intact
-
-    def test_queue_wait_recorded_separately(self):
-        metrics = ServingMetrics()
-        release = threading.Event()
-
-        def gated_handler(items):
-            release.wait(timeout=5.0)
-            return list(items)
-
-        q = BatchQueue(
-            gated_handler, max_batch_size=1, max_wait=0.0, metrics=metrics
-        ).start()
-        try:
-            first = q.submit(1)   # occupies the worker at the gate
-            second = q.submit(2)  # waits in the queue behind it
-            time.sleep(0.05)
-            release.set()
-            first.result(timeout=5.0)
-            second.result(timeout=5.0)
-        finally:
-            q.stop()
-
-        snap = metrics.snapshot()
-        assert snap["queued_requests"] == 2
-        # The second item waited at least the 50ms the gate was closed.
-        assert metrics.registry.histogram("serve.queue_wait_seconds").quantile(1.0) >= 0.05
-
-    def test_without_metrics_queue_still_works(self):
-        with BatchQueue(echo_handler, max_batch_size=4, max_wait=0.001) as q:
-            assert q.predict(3, timeout=5.0) == 6
 
 
 class TestServingMetrics:

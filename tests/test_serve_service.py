@@ -11,6 +11,7 @@ import urllib.request
 import pytest
 
 from repro.core import FakeDetector, FakeDetectorConfig
+from repro.obs import SloMonitor, default_serving_rules, parse_prometheus
 from repro.serve import (
     REQUEST_SCHEMA,
     ArticleRequest,
@@ -376,6 +377,67 @@ class TestDriftDegradation:
         code, body = _get(service.url, "/v1/healthz")
         assert code == 200
         assert "drift" not in json.loads(body)
+
+    @pytest.fixture(scope="class")
+    def drifting_slo_service(self, checkpoint):
+        svc = PredictionService(
+            checkpoint, workers=2, shards=2, max_wait=0.001,
+            drift_baseline="auto", drift_threshold=0.05, drift_min_samples=1,
+        )
+        svc.slo = SloMonitor(
+            default_serving_rules(drift_psi=0.05),
+            registry=svc.metrics.registry,
+        )
+        with svc:
+            yield svc
+
+    def test_drift_psi_rule_breaches_slo(self, drifting_slo_service,
+                                         shard_articles):
+        # The collector feeds each worker's drift summary to the rule's
+        # class-PSI signal before it answers the request.
+        for _ in range(4):
+            status, _, _ = _post(
+                drifting_slo_service.url, _payload(shard_articles)
+            )
+            assert status == 200
+        code, body = _get(drifting_slo_service.url, "/v1/healthz")
+        health = json.loads(body)
+        assert code == 503
+        assert health["slo"]["breached"] == ["drift_psi"]
+
+
+class TestSloDegradation:
+    @pytest.fixture(scope="class")
+    def latency_slo_service(self, checkpoint):
+        svc = PredictionService(checkpoint, workers=2, shards=2, max_wait=0.001)
+        svc.slo = SloMonitor(
+            default_serving_rules(p95_latency_s=1e-9),
+            registry=svc.metrics.registry,
+        )
+        with svc:
+            yield svc
+
+    def test_latency_breach_degrades_healthz(self, latency_slo_service,
+                                             shard_articles):
+        for _ in range(3):
+            status, _, _ = _post(
+                latency_slo_service.url, _payload(shard_articles)
+            )
+            assert status == 200
+        code, body = _get(latency_slo_service.url, "/v1/healthz")
+        health = json.loads(body)
+        assert code == 503
+        assert health["status"] == "degraded"
+        assert health["slo"]["breached"] == ["latency_p95"]
+        code, body = _get(latency_slo_service.url, "/metrics")
+        assert code == 200
+        samples = {s.name: s.value for s in parse_prometheus(body)}
+        assert samples["repro_obs_slo_breached"] == 1.0
+
+    def test_unarmed_service_reports_no_slo(self, service):
+        code, body = _get(service.url, "/v1/healthz")
+        assert code == 200
+        assert "slo" not in json.loads(body)
 
 
 class TestContinuousProfiling:

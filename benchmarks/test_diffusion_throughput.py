@@ -23,6 +23,8 @@ corpus, with one trained checkpoint shared between modes, it measures:
 - **no-tape forward** (informational): the same full-graph forward inside
   ``repro.autograd.no_tape``, the mode ``InferenceSession`` runs in.
 
+The unrolled arm runs the per-gate and per-timestep references in
+``tests/training_oracles.py``, patched in around each of its passes.
 Equivalence is asserted in-benchmark: both modes load the same state dict
 and must produce logits within 1e-12 and the same article loss — a
 speedup that moves the numbers would be a bug, not a win.
@@ -33,7 +35,7 @@ record so ``repro obs diff`` can regression-gate future kernel changes.
 
 from __future__ import annotations
 
-import dataclasses
+import contextlib
 import os
 import time
 
@@ -47,6 +49,8 @@ from repro.autograd import functional as F
 from repro.core import FakeDetector, FakeDetectorConfig
 from repro.core.model import FakeDetectorModel
 from repro.obs import OpProfiler
+
+from tests import training_oracles as ref
 
 REPEATS = int(os.environ.get("REPRO_BENCH_DIFFUSION_REPEATS", "9"))
 SPEEDUP_BUDGET = 2.0
@@ -64,14 +68,14 @@ def trained(bench_dataset, bench_split):
     """
     config = FakeDetectorConfig(
         epochs=EPOCHS, explicit_dim=60, vocab_size=2000, max_seq_len=16,
-        diffusion_iterations=4, seed=BENCH_SEED, fused_kernels=True,
+        diffusion_iterations=4, seed=BENCH_SEED,
     )
     return FakeDetector(config).fit(bench_dataset, bench_split)
 
 
-def _clone_model(detector: FakeDetector, fused: bool) -> FakeDetectorModel:
-    """A fresh model in the requested mode holding the trained weights."""
-    config = dataclasses.replace(detector.config, fused_kernels=fused)
+def _clone_model(detector: FakeDetector) -> FakeDetectorModel:
+    """A fresh model holding the trained weights."""
+    config = detector.config
     explicit_dims = {
         "article": detector.features.articles.explicit.shape[1],
         "creator": detector.features.creators.explicit.shape[1],
@@ -84,6 +88,14 @@ def _clone_model(detector: FakeDetector, fused: bool) -> FakeDetectorModel:
     model.load_state_dict(detector.model.state_dict())
     model.eval()
     return model
+
+
+@contextlib.contextmanager
+def _unrolled():
+    """Run the encoders and GDUs through the unrolled oracle inside."""
+    with pytest.MonkeyPatch.context() as patch:
+        ref.patch_unrolled(patch)
+        yield
 
 
 def _labeled_articles(detector: FakeDetector) -> np.ndarray:
@@ -150,19 +162,21 @@ def _diffusion_tape_nodes(model, detector) -> float:
 
 def test_diffusion_throughput(trained, bench_dataset):
     rows = _labeled_articles(trained)
-    fused = _clone_model(trained, fused=True)
-    unrolled = _clone_model(trained, fused=False)
+    fused = _clone_model(trained)
+    unrolled = _clone_model(trained)
 
     # Interleave the two arms so machine-load spikes hit both equally, and
     # warm each model (allocator, caches) before the timed repeats.
     _timed_forward(fused, trained)
-    _timed_forward(unrolled, trained)
+    with _unrolled():
+        _timed_forward(unrolled, trained)
     fused_times, unrolled_times = [], []
     fused_logits = unrolled_logits = None
     for _ in range(REPEATS):
         seconds, fused_logits = _timed_forward(fused, trained)
         fused_times.append(seconds)
-        seconds, unrolled_logits = _timed_forward(unrolled, trained)
+        with _unrolled():
+            seconds, unrolled_logits = _timed_forward(unrolled, trained)
         unrolled_times.append(seconds)
     fused_secs = float(np.median(fused_times))
     unrolled_secs = float(np.median(unrolled_times))
@@ -182,12 +196,14 @@ def test_diffusion_throughput(trained, bench_dataset):
     np.testing.assert_allclose(fused_loss, unrolled_loss, rtol=1e-12, atol=0)
 
     fused_nodes = _diffusion_tape_nodes(fused, trained)
-    unrolled_nodes = _diffusion_tape_nodes(unrolled, trained)
+    with _unrolled():
+        unrolled_nodes = _diffusion_tape_nodes(unrolled, trained)
     reduction = unrolled_nodes / max(1.0, fused_nodes)
 
     notape_secs, _ = _best_forward_seconds(fused, trained, untaped=True)
     fused_train_secs = _best_train_pass_seconds(fused, trained, rows)
-    unrolled_train_secs = _best_train_pass_seconds(unrolled, trained, rows)
+    with _unrolled():
+        unrolled_train_secs = _best_train_pass_seconds(unrolled, trained, rows)
 
     report = {
         "repeats": REPEATS,

@@ -5,7 +5,9 @@ of every node type emits ~10 tape nodes, so a full-graph epoch is tens of
 thousands of Python closures. The fused kernels (repro.autograd.kernels)
 collapse each recurrence into one tape node with a hand-written BPTT
 backward. What that buys depends on how much of an epoch the recurrence
-is, so this benchmark measures two regimes on synthetic News-HSNs:
+is, so this benchmark measures two regimes on synthetic News-HSNs (the
+unrolled arm is the per-timestep reference in ``tests/training_oracles.py``,
+patched in for its fits):
 
 - **document regime** (gated): long article bodies through a
   bidirectional encoder — the per-timestep tape overhead the kernels
@@ -37,6 +39,8 @@ from repro.core import FakeDetector, FakeDetectorConfig
 from repro.data import GeneratorConfig, PolitiFactGenerator
 from repro.graph.sampling import tri_splits
 from repro.obs import OpProfiler
+
+from tests import training_oracles as ref
 
 REPEATS = int(os.environ.get("REPRO_BENCH_KERNEL_REPEATS", "3"))
 EPOCHS = 3
@@ -75,17 +79,19 @@ def regime(request):
     return request.param, dataset, split, model_kwargs
 
 
-def _config(fused: bool, model_kwargs: dict) -> FakeDetectorConfig:
+def _config(model_kwargs: dict) -> FakeDetectorConfig:
     return FakeDetectorConfig(
         epochs=EPOCHS, explicit_dim=60, vocab_size=2000,
-        seed=BENCH_SEED, fused_kernels=fused, **model_kwargs,
+        seed=BENCH_SEED, **model_kwargs,
     )
 
 
 def _fit(dataset, split, fused: bool, model_kwargs: dict) -> FakeDetector:
-    detector = FakeDetector(_config(fused, model_kwargs))
-    detector.fit(dataset, split)
-    return detector
+    """One fit, on the fused kernels or through the unrolled oracle."""
+    with pytest.MonkeyPatch.context() as patch:
+        if not fused:
+            ref.patch_unrolled(patch)
+        return FakeDetector(_config(model_kwargs)).fit(dataset, split)
 
 
 def _steps_per_sec(record) -> float:

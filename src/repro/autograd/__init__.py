@@ -22,7 +22,7 @@ from .nn import (
 )
 from .gradcheck import GradientCheckError, gradcheck, numeric_gradient
 from .conv import CNNEncoder, Conv1d, conv1d, max_pool_over_time
-from .rnn import GRUCell, GRUEncoder, LSTMCell, RNNCell, run_rnn
+from .rnn import GRUCell, GRUEncoder, LSTMCell, RNNCell
 from .serialization import load_arrays, load_state, save_arrays, save_state
 from .tensor import (
     Tensor,
@@ -72,7 +72,6 @@ __all__ = [
     "CNNEncoder",
     "conv1d",
     "max_pool_over_time",
-    "run_rnn",
     "save_state",
     "load_state",
     "save_arrays",

@@ -1,7 +1,7 @@
 """Fused sequence kernels: whole recurrences as single tape nodes.
 
-The unrolled :class:`repro.autograd.GRUEncoder` path emits ~10 tape nodes
-per timestep per node type (embedding gather, three gate matmuls,
+Unrolled, the :class:`repro.autograd.GRUEncoder` recurrence emits ~10 tape
+nodes per timestep per node type (embedding gather, three gate matmuls,
 sigmoid/tanh, mask blends); one full-graph training epoch therefore builds
 tens of thousands of Python closures whose dispatch overhead dwarfs the
 numpy FLOPs. The kernels here collapse each sequence op into **one** tape
@@ -26,9 +26,10 @@ node with a hand-written backward-through-time:
 All three are registered through :func:`repro.autograd.tensor.instrument_op`
 so the op profiler (``repro train --profile``) and the tape sanitizer
 (``--sanitize``) observe them like any other op. Numerical equivalence with
-the unrolled reference path — forward values, parameter gradients, and
-whole training trajectories — is asserted by ``tests/test_kernels.py`` and
-re-asserted inside ``benchmarks/test_training_throughput.py``.
+the unrolled reference in ``tests/training_oracles.py`` — forward values,
+parameter gradients, and whole training trajectories — is asserted by
+``tests/test_kernels.py`` and re-asserted inside
+``benchmarks/test_training_throughput.py``.
 
 Masking semantics match the encoder exactly: ``mask`` is a ``(B, T)``
 ``{0, 1}`` array, padded positions carry the previous hidden (and LSTM
@@ -516,7 +517,8 @@ def _gdu_t_zero(
 def gdu_layer(x, z, t, w_u, b_u, forget=None, adjust=None, select=None) -> Tensor:
     """Whole Gated Diffusive Unit (paper §4.2) as one fused tape node.
 
-    The unrolled :class:`repro.core.GDU` builds ~25 tape nodes per call:
+    Unrolled (the reference in ``tests/training_oracles.py``), one
+    :class:`repro.core.GDU` call builds ~25 tape nodes:
     a ``concatenate``, one matmul+bias+sigmoid per gate, and the four
     ``tanh(W_u[·])`` candidates blended by the g/r selection mixture. This
     kernel stacks every *active* gate weight column-wise so the entire gate
@@ -536,8 +538,8 @@ def gdu_layer(x, z, t, w_u, b_u, forget=None, adjust=None, select=None) -> Tenso
     forget / adjust / select:
         Optional gate parameter tuples — ``(w_f, b_f)``, ``(w_e, b_e)`` and
         ``(w_g, b_g, w_r, b_r)`` respectively, each weight ``(D + 2H, H)``.
-        ``None`` reproduces the matching ablation switch of the unrolled
-        path: identity forget/adjust, or the plain ``tanh(W_u[x, z̃, t̃])``
+        ``None`` reproduces the matching ablation switch of the GDU:
+        identity forget/adjust, or the plain ``tanh(W_u[x, z̃, t̃])``
         candidate when the selection pair is absent.
 
     Returns the ``(n, H)`` diffused hidden state ``h``. Forward values and

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import init
 from .functional import dropout_mask
-from .tensor import Tensor, ensure_tensor, tape_enabled
+from .tensor import Tensor, ensure_tensor
 
 
 class Parameter(Tensor):
@@ -146,14 +146,6 @@ class Linear(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         x = ensure_tensor(x)
-        if not tape_enabled():
-            # Inference: the same (x @ W) + b arithmetic without the two
-            # tape-op wrappers (per-request serving calls this twice per
-            # article, for the fusion layer and the softmax head).
-            data = x.data @ self.weight.data
-            if self.bias is not None:
-                data = data + self.bias.data
-            return Tensor(data)
         out = x @ self.weight
         if self.bias is not None:
             out = out + self.bias

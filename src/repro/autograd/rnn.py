@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from . import init
-from .tensor import Tensor, concatenate, ensure_tensor, stack, tape_enabled
+from .tensor import Tensor, concatenate, ensure_tensor
 from .nn import Linear, Module, Parameter
 
 
@@ -124,13 +124,13 @@ class GRUEncoder(Module):
     paper's "zero-padding will be adopted" treatment without letting padding
     tokens perturb the state.
 
-    With ``fused=True`` (the default) the gru/lstm/bigru recurrences run
-    through :mod:`repro.autograd.kernels` — the whole sequence is a single
-    tape node with a hand-written BPTT backward — instead of the unrolled
-    per-timestep tape. The two paths are numerically equivalent (asserted
-    by tests/test_kernels.py); the fused one is several times faster
-    because it spends its time in large numpy matmuls rather than Python
-    closure dispatch. The 'rnn' cell keeps the unrolled path.
+    The gru/lstm/bigru recurrences run through :mod:`repro.autograd.kernels`:
+    the whole sequence is a single tape node with a hand-written BPTT
+    backward, several times faster than a per-timestep tape because it
+    spends its time in large numpy matmuls rather than Python closure
+    dispatch. ``tests/training_oracles.py`` keeps the per-timestep tape as
+    the reference the kernels are tested against. The 'rnn' cell has no
+    kernel and unrolls its cell over the sequence.
     """
 
     def __init__(
@@ -142,7 +142,6 @@ class GRUEncoder(Module):
         rng: Optional[np.random.Generator] = None,
         padding_idx: int = 0,
         cell: str = "gru",
-        fused: bool = True,
     ):
         super().__init__()
         from .nn import Embedding  # local import to avoid a cycle at module load
@@ -152,7 +151,6 @@ class GRUEncoder(Module):
         self.hidden_size = hidden_size
         self.output_size = output_size
         self.cell_type = cell
-        self.fused = bool(fused)
         self.embedding = Embedding(vocab_size, embed_dim, rng=rng, padding_idx=padding_idx)
         if cell == "gru":
             self.cell = GRUCell(embed_dim, hidden_size, rng=rng)
@@ -197,15 +195,9 @@ class GRUEncoder(Module):
         if length == 0:
             width = self.hidden_size * (2 if self.cell_type == "bigru" else 1)
             return self.fusion(Tensor(np.zeros((batch, width), dtype))).sigmoid()
-        if self.fused and self.cell_type in ("gru", "lstm", "bigru"):
+        if self.cell_type != "rnn":
             return self._forward_fused(seq, mask)
-        if self.cell_type == "bigru":
-            return self._forward_bidirectional(seq, mask)
-        is_lstm = self.cell_type == "lstm"
-        if is_lstm:
-            h, c = self.cell.initial_state(batch)
-        else:
-            h = self.cell.initial_state(batch)
+        h = self.cell.initial_state(batch)
         m_cols = mask[:, :, None]            # hoisted out of the time loop
         keep_cols = 1.0 - m_cols
         hidden_sum: Optional[Tensor] = None
@@ -213,18 +205,11 @@ class GRUEncoder(Module):
             x_t = self.embedding(seq[:, t])
             m = Tensor(m_cols[:, t])
             keep = Tensor(keep_cols[:, t])
-            if is_lstm:
-                h_new, c_new = self.cell(x_t, (h, c))
-                # Carry the previous state through padded positions.
-                h = m * h_new + keep * h
-                c = m * c_new + keep * c
-            else:
-                h_new = self.cell(x_t, h)
-                h = m * h_new + keep * h
+            h_new = self.cell(x_t, h)
+            # Carry the previous state through padded positions.
+            h = m * h_new + keep * h
             contribution = m * h
             hidden_sum = contribution if hidden_sum is None else hidden_sum + contribution
-        if hidden_sum is None:
-            hidden_sum = Tensor(np.zeros((batch, self.hidden_size), dtype))
         return self.fusion(hidden_sum).sigmoid()
 
     @staticmethod
@@ -233,17 +218,8 @@ class GRUEncoder(Module):
 
         One :func:`concatenate` tape node per matrix; its backward splits
         the kernel's stacked gradient back onto the per-gate Parameters, so
-        checkpoints keep the historical per-gate state-dict layout. With
-        the tape off there is no gradient to split, so the stack is a raw
-        ``np.concatenate`` — same bytes, none of the node bookkeeping
-        (single-article serving calls this per request).
+        checkpoints keep the historical per-gate state-dict layout.
         """
-        if not tape_enabled():
-            return (
-                np.concatenate((cell.w_xz.data, cell.w_xr.data, cell.w_xh.data), axis=1),
-                np.concatenate((cell.w_hz.data, cell.w_hr.data, cell.w_hh.data), axis=1),
-                np.concatenate((cell.b_z.data, cell.b_r.data, cell.b_h.data), axis=0),
-            )
         return (
             concatenate([cell.w_xz, cell.w_xr, cell.w_xh], axis=1),
             concatenate([cell.w_hz, cell.w_hr, cell.w_hh], axis=1),
@@ -257,14 +233,9 @@ class GRUEncoder(Module):
         embedded = embedding_gather(self.embedding.weight, seq)  # (B, T, E)
         if self.cell_type == "lstm":
             cell = self.cell
-            if tape_enabled():
-                w_x = concatenate([cell.w_xi, cell.w_xf, cell.w_xc, cell.w_xo], axis=1)
-                w_h = concatenate([cell.w_hi, cell.w_hf, cell.w_hc, cell.w_ho], axis=1)
-                b = concatenate([cell.b_i, cell.b_f, cell.b_c, cell.b_o], axis=0)
-            else:
-                w_x = np.concatenate((cell.w_xi.data, cell.w_xf.data, cell.w_xc.data, cell.w_xo.data), axis=1)
-                w_h = np.concatenate((cell.w_hi.data, cell.w_hf.data, cell.w_hc.data, cell.w_ho.data), axis=1)
-                b = np.concatenate((cell.b_i.data, cell.b_f.data, cell.b_c.data, cell.b_o.data), axis=0)
+            w_x = concatenate([cell.w_xi, cell.w_xf, cell.w_xc, cell.w_xo], axis=1)
+            w_h = concatenate([cell.w_hi, cell.w_hf, cell.w_hc, cell.w_ho], axis=1)
+            b = concatenate([cell.b_i, cell.b_f, cell.b_c, cell.b_o], axis=0)
             hidden_sum = lstm_hidden_sum(embedded, mask, w_x, w_h, b)
         elif self.cell_type == "bigru":
             hidden_sum = concatenate(
@@ -285,60 +256,3 @@ class GRUEncoder(Module):
                 embedded, mask, *self._stacked_gru_gates(self.cell)
             )
         return self.fusion(hidden_sum).sigmoid()
-
-    def _forward_bidirectional(self, seq: np.ndarray, mask: np.ndarray) -> Tensor:
-        """Bidirectional pass: fuse Σ_t [h_fw(t) ; h_bw(t)] over valid steps."""
-        batch, length = seq.shape
-        m_cols = mask[:, :, None]            # hoisted out of the time loops
-        keep_cols = 1.0 - m_cols
-
-        def direction(cell: GRUCell, time_indices) -> dict:
-            h = cell.initial_state(batch)
-            states = {}
-            for t in time_indices:
-                x_t = self.embedding(seq[:, t])
-                m = Tensor(m_cols[:, t])
-                keep = Tensor(keep_cols[:, t])
-                h = m * cell(x_t, h) + keep * h
-                states[t] = h
-            return states
-
-        fw = direction(self.cell, range(length))
-        bw = direction(self.cell_backward, range(length - 1, -1, -1))
-        hidden_sum: Optional[Tensor] = None
-        for t in range(length):
-            m = Tensor(m_cols[:, t])
-            joint = concatenate([fw[t], bw[t]], axis=1)
-            contribution = m * joint
-            hidden_sum = contribution if hidden_sum is None else hidden_sum + contribution
-        if hidden_sum is None:
-            hidden_sum = Tensor(np.zeros((batch, 2 * self.hidden_size), mask.dtype))
-        return self.fusion(hidden_sum).sigmoid()
-
-
-def run_rnn(
-    cell: Module,
-    inputs: Tensor,
-    initial_state: Optional[Tensor] = None,
-    return_sequence: bool = False,
-):
-    """Unroll ``cell`` over ``inputs`` of shape (batch, seq_len, features).
-
-    Returns the final hidden state, or the full stacked trajectory
-    (batch, seq_len, hidden) if ``return_sequence``. Works with RNNCell and
-    GRUCell (single-state cells).
-    """
-    inputs = ensure_tensor(inputs)
-    if inputs.ndim != 3:
-        raise ValueError(f"run_rnn expects (batch, seq, feat) inputs, got {inputs.shape}")
-    batch, length, _ = inputs.shape
-    h = initial_state if initial_state is not None else cell.initial_state(batch)
-    states = []
-    for t in range(length):
-        x_t = inputs[:, t, :]
-        h = cell(x_t, h)
-        if return_sequence:
-            states.append(h)
-    if return_sequence:
-        return stack(states, axis=1)
-    return h

@@ -107,7 +107,6 @@ def cmd_train(args) -> int:
         max_seq_len=args.max_seq_len,
         log_every=max(1, args.epochs // 5),
         seed=args.seed,
-        fused_kernels=not args.no_fused,
     )
     tracer = Tracer(path=args.trace) if args.trace else None
     profiler = OpProfiler() if args.profile else None
@@ -157,7 +156,6 @@ def cmd_train(args) -> int:
         flame_profile = flame.snapshot(
             meta={
                 "kind": "train",
-                "fused_kernels": config.fused_kernels,
                 "epochs": args.epochs,
             }
         )
@@ -279,10 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--explicit-dim", type=int, default=100)
     p_train.add_argument("--max-seq-len", type=int, default=24)
     p_train.add_argument("--folds", type=int, default=10)
-    p_train.add_argument("--no-fused", action="store_true",
-                         help="disable the fused sequence kernels and train "
-                              "on the unrolled per-timestep tape (the slow "
-                              "reference path; see docs/performance.md)")
     p_train.add_argument("--checkpoint", type=Path, default=None,
                          help="write model weights only (.npz)")
     p_train.add_argument("--save", type=Path, default=None,

@@ -28,15 +28,6 @@ class FakeDetectorConfig:
     latent_dim: int = 16
     max_seq_len: int = 30
     rnn_cell: str = "gru"
-    # Run the latent-branch recurrence AND the GDU diffusion layer through
-    # the fused kernels (repro.autograd.kernels): one tape node per
-    # sequence (gru/lstm_hidden_sum) and one per GDU call (gdu_layer), each
-    # with a hand-written backward, numerically equivalent to the unrolled
-    # tape but several times faster (see docs/performance.md,
-    # results/BENCH_training.json and results/BENCH_diffusion.json).
-    # `repro train --no-fused` is the escape hatch back to the reference
-    # path.
-    fused_kernels: bool = True
 
     # GDU / diffusion (§4.2)
     gdu_hidden: int = 32

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..autograd import Module, Parameter, Tensor, concatenate, gdu_layer, init
+from ..autograd import Module, Parameter, Tensor, gdu_layer, init
 
 
 class GDU(Module):
@@ -38,12 +38,6 @@ class GDU(Module):
         Ablation switches. Disabling a gate replaces it with the identity
         (forget/adjust) or with the plain candidate ``tanh(W_u[x,z,t])``
         (selection).
-    fused:
-        Route :meth:`forward` through the single-tape-node
-        :func:`repro.autograd.gdu_layer` kernel (the default, toggled
-        model-wide by ``FakeDetectorConfig.fused_kernels``). Parameters,
-        ``state_dict`` layout, and checkpoints are identical either way;
-        outputs match the unrolled path to 1e-12.
     """
 
     def __init__(
@@ -54,7 +48,6 @@ class GDU(Module):
         use_forget_gate: bool = True,
         use_adjust_gate: bool = True,
         use_selection_gates: bool = True,
-        fused: bool = True,
     ):
         super().__init__()
         rng = rng or np.random.default_rng()  # repro: noqa[RA002] explicit opt-in randomness when no generator is supplied
@@ -63,7 +56,6 @@ class GDU(Module):
         self.use_forget_gate = use_forget_gate
         self.use_adjust_gate = use_adjust_gate
         self.use_selection_gates = use_selection_gates
-        self.fused = fused
 
         concat_dim = input_dim + 2 * hidden_dim
         if use_forget_gate:
@@ -81,47 +73,22 @@ class GDU(Module):
         self.b_u = Parameter(init.zeros((hidden_dim,)))
 
     def forward(self, x: Tensor, z: Tensor, t: Tensor) -> Tensor:
-        """Compute h_i from (x_i, z_i, t_i); all inputs are (n, ·) batches."""
-        if x.shape[0] != z.shape[0] or x.shape[0] != t.shape[0]:
-            raise ValueError(
-                f"batch mismatch: x={x.shape}, z={z.shape}, t={t.shape}"
-            )
-        if self.fused:
-            return gdu_layer(
-                x,
-                z,
-                t,
-                self.w_u,
-                self.b_u,
-                forget=(self.w_f, self.b_f) if self.use_forget_gate else None,
-                adjust=(self.w_e, self.b_e) if self.use_adjust_gate else None,
-                select=(self.w_g, self.b_g, self.w_r, self.b_r)
-                if self.use_selection_gates
-                else None,
-            )
-        xzt = concatenate([x, z, t], axis=1)
+        """Compute h_i from (x_i, z_i, t_i); all inputs are (n, ·) batches.
 
-        z_tilde = (xzt @ self.w_f + self.b_f).sigmoid() * z if self.use_forget_gate else z
-        t_tilde = (xzt @ self.w_e + self.b_e).sigmoid() * t if self.use_adjust_gate else t
-
-        def candidate(z_in: Tensor, t_in: Tensor) -> Tensor:
-            return (concatenate([x, z_in, t_in], axis=1) @ self.w_u + self.b_u).tanh()
-
-        if not self.use_selection_gates:
-            return candidate(z_tilde, t_tilde)
-
-        g = (xzt @ self.w_g + self.b_g).sigmoid()
-        r = (xzt @ self.w_r + self.b_r).sigmoid()
-        # ``1 - g`` routes through ``__rsub__`` against a scalar constant —
-        # no per-call ones-tensor allocation (same shape-saving as the
-        # GRUCell fix in PR 5).
-        one_m_g = 1 - g
-        one_m_r = 1 - r
-        return (
-            g * r * candidate(z_tilde, t_tilde)
-            + one_m_g * r * candidate(z, t_tilde)
-            + g * one_m_r * candidate(z_tilde, t)
-            + one_m_g * one_m_r * candidate(z, t)
+        The whole unit is one :func:`repro.autograd.gdu_layer` tape node
+        with a hand-written backward.
+        """
+        return gdu_layer(
+            x,
+            z,
+            t,
+            self.w_u,
+            self.b_u,
+            forget=(self.w_f, self.b_f) if self.use_forget_gate else None,
+            adjust=(self.w_e, self.b_e) if self.use_adjust_gate else None,
+            select=(self.w_g, self.b_g, self.w_r, self.b_r)
+            if self.use_selection_gates
+            else None,
         )
 
     def zero_state(self, batch: int) -> Tensor:

@@ -33,9 +33,6 @@ class HFLU(Module):
     use_explicit / use_latent:
         Ablation switches; the full model keeps both (disabling one
         reproduces the paper's SVM-style or RNN-style feature family).
-    fused:
-        Route the recurrence through the fused sequence kernels
-        (:mod:`repro.autograd.kernels`) instead of the unrolled tape.
     """
 
     def __init__(
@@ -48,7 +45,6 @@ class HFLU(Module):
         use_explicit: bool = True,
         use_latent: bool = True,
         rnn_cell: str = "gru",
-        fused: bool = True,
     ):
         super().__init__()
         if not (use_explicit or use_latent):
@@ -76,7 +72,6 @@ class HFLU(Module):
                     output_size=latent_dim,
                     rng=rng,
                     cell=rnn_cell,
-                    fused=fused,
                 )
         else:
             self.encoder = None
@@ -111,10 +106,6 @@ class HFLU(Module):
             parts.append(latent)
         if len(parts) == 1:
             return parts[0]
-        if not tape_enabled():
-            # Inference: same bytes as the taped concatenate, no split-grad
-            # node (this is the hot seam of the per-request serving path).
-            return Tensor(np.concatenate([p.data for p in parts], axis=1))
         return concatenate(parts, axis=1)
 
     def _encode(self, sequences) -> Tensor:

@@ -74,7 +74,6 @@ class FakeDetectorModel(Module):
                 use_explicit=config.use_explicit_features,
                 use_latent=config.use_latent_features,
                 rnn_cell=config.rnn_cell,
-                fused=config.fused_kernels,
             )
 
         def feature_dim(kind: str) -> int:
@@ -93,7 +92,6 @@ class FakeDetectorModel(Module):
                 use_forget_gate=config.use_forget_gate,
                 use_adjust_gate=config.use_adjust_gate,
                 use_selection_gates=config.use_selection_gates,
-                fused=config.fused_kernels,
             )
 
         self.hflu_article = make_hflu()

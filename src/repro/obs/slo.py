@@ -78,7 +78,6 @@ class SloStatus:
 def default_serving_rules(
     p95_latency_s: Optional[float] = None,
     error_rate: Optional[float] = None,
-    queue_depth: Optional[float] = None,
     drift_psi: Optional[float] = None,
     window_seconds: float = 60.0,
 ) -> List[SloRule]:
@@ -98,11 +97,6 @@ def default_serving_rules(
         rules.append(SloRule(
             "error_rate", "errors", "error_rate", error_rate,
             window_seconds=window_seconds,
-        ))
-    if queue_depth is not None:
-        rules.append(SloRule(
-            "queue_depth", "queue_depth", "max", queue_depth,
-            window_seconds=window_seconds, min_samples=1,
         ))
     return rules
 
@@ -162,9 +156,6 @@ class SloMonitor:
 
     def observe_latency(self, seconds: float) -> None:
         self.observe("latency_seconds", seconds)
-
-    def observe_queue_depth(self, depth: int) -> None:
-        self.observe("queue_depth", float(depth))
 
     def record_success(self, n: int = 1) -> None:
         for _ in range(n):

@@ -121,6 +121,10 @@ def load_detector(path: PathLike) -> "FakeDetector":
             f"(expected {CHECKPOINT_FORMAT!r})"
         )
 
+    # Older checkpoints store `fused_kernels`, a retired switch between two
+    # equivalent forwards that no weight depends on. Any other unknown key
+    # still raises.
+    manifest["config"].pop("fused_kernels", None)
     config = FakeDetectorConfig(**manifest["config"])
     vocab = Vocabulary.from_dict(manifest["vocab"])
     extractors = {

@@ -10,9 +10,11 @@ and tests read the same report.
 
 Each of the ``size`` items a :meth:`ServingMetrics.record_batch` call
 accounts is charged the share ``seconds / size`` as its latency. An
-:class:`repro.serve.InferenceSession` passes its batch's compute time
-(nothing waited before the forward); :class:`repro.serve.PredictionService`
-passes one request's wall time, queue wait included, over its articles.
+:class:`repro.serve.InferenceSession` passes its batch's compute time over
+its articles (nothing waited before the forward);
+:class:`repro.serve.PredictionService` records each answered request as a
+batch of one, charged its whole wall time, queue wait included, so its
+``requests`` counts requests and its latencies are per request.
 """
 
 from __future__ import annotations

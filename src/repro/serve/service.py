@@ -30,8 +30,8 @@ the request is rejected *before* anything is enqueued, surfacing as HTTP
 Observability is the PR 4 stack wired in directly: the service registry
 feeds ``GET /metrics`` (Prometheus text format) and an optional
 :class:`repro.obs.PeriodicExporter`; an optional
-:class:`repro.obs.SloMonitor` sees every request's latency, success/error
-flag and the global in-flight depth, and its breaches flip
+:class:`repro.obs.SloMonitor` sees every request's latency and success/error
+flag, and its breaches flip
 ``GET /v1/healthz`` to 503 — the load-balancer eject signal. With
 ``profile_hz`` set, every process (front-end and workers) also runs a
 continuous :class:`repro.obs.SamplingProfiler`; ``GET
@@ -160,7 +160,7 @@ class PredictionService:
     feature_cache_size:
         Per-worker LRU text-feature cache entries.
     slo:
-        Optional :class:`repro.obs.SloMonitor`; fed latency/error/depth
+        Optional :class:`repro.obs.SloMonitor`; fed latency/error
         signals (and, when drift monitoring is on, the per-shard class
         PSI as :data:`repro.obs.slo.DRIFT_SIGNAL`), drives ``/v1/healthz``.
     trace_dir:
@@ -795,13 +795,12 @@ class PredictionService:
                 )
 
         total_seconds = time.perf_counter() - start
-        self.metrics.record_batch(len(articles), total_seconds)
+        # One sample per answered request: the wall time `timing.total_ms`
+        # reports, whatever its article count.
+        self.metrics.record_batch(1, total_seconds)
         if self.slo is not None:
             self.slo.observe_latency(total_seconds)
             self.slo.record_success()
-            self.slo.observe_queue_depth(
-                sum(h.inflight for h in self._workers)
-            )
             self.slo.evaluate()
         return PredictResponse(
             predictions=[p for p in merged if p is not None],

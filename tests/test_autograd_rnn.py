@@ -9,7 +9,6 @@ from repro.autograd import (
     LSTMCell,
     RNNCell,
     Tensor,
-    run_rnn,
 )
 from repro.autograd import functional as F
 from repro.autograd import optim
@@ -103,30 +102,6 @@ class TestLSTMCell:
             return (h ** 2).sum() + (c ** 2).sum()
 
         finite_difference_check(loss, list(cell.parameters()), tol=1e-4)
-
-
-class TestRunRNN:
-    def test_final_state_shape(self, rng):
-        cell = GRUCell(3, 5, rng=rng)
-        inputs = Tensor(rng.standard_normal((2, 7, 3)))
-        assert run_rnn(cell, inputs).shape == (2, 5)
-
-    def test_sequence_output_shape(self, rng):
-        cell = RNNCell(3, 5, rng=rng)
-        inputs = Tensor(rng.standard_normal((2, 7, 3)))
-        assert run_rnn(cell, inputs, return_sequence=True).shape == (2, 7, 5)
-
-    def test_rejects_2d_input(self, rng):
-        cell = RNNCell(3, 5, rng=rng)
-        with pytest.raises(ValueError):
-            run_rnn(cell, Tensor(rng.standard_normal((2, 3))))
-
-    def test_sequence_last_equals_final(self, rng):
-        cell = GRUCell(3, 4, rng=rng)
-        inputs = Tensor(rng.standard_normal((2, 5, 3)))
-        final = run_rnn(cell, inputs)
-        seq = run_rnn(cell, inputs, return_sequence=True)
-        np.testing.assert_allclose(seq.data[:, -1, :], final.data)
 
 
 class TestGRUEncoder:

@@ -189,7 +189,7 @@ class TestFlameCli:
         profile = registry.load_profile(run_id)
         assert profile.samples > 0
         assert profile.meta["kind"] == "train"
-        assert "fused_kernels" in profile.meta
+        assert profile.meta["epochs"] == 2
         assert svg.read_text().startswith("<svg")
 
     def test_obs_flame_renders_table(self, flame_run, capsys):

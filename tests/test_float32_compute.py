@@ -29,6 +29,8 @@ from repro.serve import ArticleRequest, InferenceSession
 from repro.serve import session as session_module
 from repro.graph.sampling import tri_splits
 
+from tests import training_oracles as ref
+
 #: 1024 float32 ulps of 1: the agreement asked of float32 and float64 runs
 #: of the same step, relative to each array's largest magnitude.
 TOL = 2.0 ** 10 * np.finfo(np.float32).eps
@@ -100,12 +102,14 @@ def explicit_dims(detector):
 # Training
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
-    "overrides",
-    [{}, dict(batch_size=16), dict(class_weighted_loss=True),
-     dict(fused_kernels=False)],
+    "overrides, unrolled",
+    [({}, False), (dict(batch_size=16), False),
+     (dict(class_weighted_loss=True), False), ({}, True)],
     ids=["full_batch", "minibatch", "class_weighted", "unrolled"],
 )
-def test_fit_computes_only_in_float32(overrides, tiny_dataset, tiny_split, monkeypatch):
+def test_fit_computes_only_in_float32(
+    overrides, unrolled, tiny_dataset, tiny_split, monkeypatch
+):
     adams = []
 
     class RecordingAdam(optim.Adam):
@@ -114,6 +118,8 @@ def test_fit_computes_only_in_float32(overrides, tiny_dataset, tiny_split, monke
             adams.append(self)
 
     monkeypatch.setattr(optim, "Adam", RecordingAdam)
+    if unrolled:
+        ref.patch_unrolled(monkeypatch)
     config = FakeDetectorConfig(**TOY, **overrides)
     with DtypeRecorder() as recorder:
         detector = FakeDetector(config).fit(tiny_dataset, tiny_split)

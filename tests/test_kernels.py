@@ -3,9 +3,9 @@
 The contract under test (docs/performance.md): ``repro.autograd.kernels``
 runs each gru/lstm/bigru recurrence, pooled into the encoder's masked
 hidden sum, as a single tape node with a hand-written BPTT backward, and
-is numerically equivalent to the unrolled per-timestep reference path —
-same forward values, same parameter gradients, same training trajectories,
-interchangeable checkpoints.
+is numerically equivalent to the unrolled per-timestep reference in
+``tests/training_oracles.py`` — same forward values, same parameter
+gradients, same training trajectories, on the same checkpoint.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from repro.autograd.kernels import (
     gru_hidden_sum,
     lstm_hidden_sum,
 )
+
+from tests import training_oracles as ref
 
 pytestmark = pytest.mark.kernels
 
@@ -148,12 +150,13 @@ class TestKernelSemantics:
 
 
 def _pair(cell, rng_seed=0, **kwargs):
-    """Two identically-initialized encoders, fused and unrolled."""
-    make = lambda fused: GRUEncoder(
+    """Two identically-initialized encoders: one runs the fused kernels,
+    the other is driven through the unrolled oracle."""
+    make = lambda: GRUEncoder(
         vocab_size=20, embed_dim=4, hidden_size=6, output_size=5,
-        rng=np.random.default_rng(rng_seed), cell=cell, fused=fused, **kwargs
+        rng=np.random.default_rng(rng_seed), cell=cell, **kwargs
     )
-    return make(True), make(False)
+    return make(), make()
 
 
 SEQ = np.array(
@@ -170,7 +173,7 @@ class TestEncoderEquivalence:
     @pytest.mark.parametrize("cell", ["gru", "lstm", "bigru"])
     def test_forward_and_gradients_match_unrolled(self, cell):
         fused, unrolled = _pair(cell)
-        out_f, out_u = fused(SEQ), unrolled(SEQ)
+        out_f, out_u = fused(SEQ), ref.unrolled_encoder_forward(unrolled, SEQ)
         np.testing.assert_allclose(out_f.data, out_u.data, atol=1e-12)
         (out_f ** 2).sum().backward()
         (out_u ** 2).sum().backward()
@@ -192,20 +195,26 @@ class TestEncoderEquivalence:
     def test_all_padding_batch(self, cell):
         fused, unrolled = _pair(cell)
         seq = np.zeros((2, 5), dtype=int)
-        np.testing.assert_allclose(fused(seq).data, unrolled(seq).data, atol=1e-12)
+        np.testing.assert_allclose(
+            fused(seq).data, ref.unrolled_encoder_forward(unrolled, seq).data,
+            atol=1e-12,
+        )
         np.testing.assert_allclose(fused(seq).data[0], fused(seq).data[1])
 
     def test_state_dict_round_trips_across_modes(self):
-        """Fused and unrolled modes share one checkpoint format."""
-        fused, unrolled = _pair("gru", rng_seed=1)
+        """Weights loaded into a fresh encoder give the same outputs, fused
+        and through the unrolled oracle: one checkpoint serves both."""
+        fused, _ = _pair("gru", rng_seed=1)
         other = GRUEncoder(
             vocab_size=20, embed_dim=4, hidden_size=6, output_size=5,
-            rng=np.random.default_rng(99), cell="gru", fused=False,
+            rng=np.random.default_rng(99), cell="gru",
         )
         other.load_state_dict(fused.state_dict())
         np.testing.assert_allclose(other(SEQ).data, fused(SEQ).data, atol=1e-12)
-        fused.load_state_dict(other.state_dict())
-        np.testing.assert_allclose(fused(SEQ).data, unrolled(SEQ).data, atol=1e-12)
+        np.testing.assert_allclose(
+            ref.unrolled_encoder_forward(other, SEQ).data, fused(SEQ).data,
+            atol=1e-12,
+        )
 
 
 class TestObservabilityIntegration:
@@ -237,16 +246,17 @@ GDU_ABLATIONS = [
 
 
 def _gdu_pair(flags=(True, True, True), seed=3, input_dim=5, hidden_dim=4):
-    """Two identically-initialized GDUs, fused and unrolled."""
+    """Two identically-initialized GDUs: one runs ``gdu_layer``, the other
+    is driven through the unrolled oracle."""
     from repro.core.gdu import GDU
 
     forget, adjust, select = flags
-    make = lambda fused: GDU(
+    make = lambda: GDU(
         input_dim, hidden_dim, rng=np.random.default_rng(seed),
         use_forget_gate=forget, use_adjust_gate=adjust,
-        use_selection_gates=select, fused=fused,
+        use_selection_gates=select,
     )
-    return make(True), make(False)
+    return make(), make()
 
 
 def _gdu_inputs(rng, n=7, input_dim=5, hidden_dim=4, requires_grad=False):
@@ -278,7 +288,8 @@ class TestGduEquivalence:
         x_u = Tensor(x_f.data.copy(), requires_grad=True)
         z_u = Tensor(z_f.data.copy(), requires_grad=True)
         t_u = Tensor(t_f.data.copy(), requires_grad=True)
-        h_f, h_u = fused(x_f, z_f, t_f), unrolled(x_u, z_u, t_u)
+        h_f = fused(x_f, z_f, t_f)
+        h_u = ref.unrolled_gdu_forward(unrolled, x_u, z_u, t_u)
         np.testing.assert_allclose(h_f.data, h_u.data, atol=1e-12)
         (h_f ** 2).sum().backward()
         (h_u ** 2).sum().backward()
@@ -314,7 +325,8 @@ class TestGduEquivalence:
             else Tensor(z_data.copy(), requires_grad=True),
             zero(),
         )
-        h_u = unrolled(
+        h_u = ref.unrolled_gdu_forward(
+            unrolled,
             x_u,
             Tensor(z_data, requires_grad=False) if "z" in zero_ports
             else Tensor(z_data.copy(), requires_grad=True),
@@ -347,18 +359,20 @@ class TestGduEquivalence:
         assert gradcheck(loss, [x, z] + params, tolerance=1e-5)
 
     def test_state_dict_round_trips_across_modes(self, rng):
-        """Fused and unrolled GDUs share one checkpoint format."""
+        """Weights loaded into a fresh GDU give the same outputs, fused and
+        through the unrolled oracle: one checkpoint serves both."""
         from repro.core.gdu import GDU
 
-        fused, unrolled = _gdu_pair(seed=1)
-        other = GDU(5, 4, rng=np.random.default_rng(99), fused=False)
+        fused, _ = _gdu_pair(seed=1)
+        other = GDU(5, 4, rng=np.random.default_rng(99))
         other.load_state_dict(fused.state_dict())
         x, z, t = _gdu_inputs(rng)
         np.testing.assert_allclose(other(x, z, t).data, fused(x, z, t).data,
                                    atol=1e-12)
-        fused.load_state_dict(other.state_dict())
-        np.testing.assert_allclose(fused(x, z, t).data, unrolled(x, z, t).data,
-                                   atol=1e-12)
+        np.testing.assert_allclose(
+            ref.unrolled_gdu_forward(other, x, z, t).data, fused(x, z, t).data,
+            atol=1e-12,
+        )
 
     def test_single_tape_node(self, rng):
         """The whole fused GDU is one node: h's parents are the raw inputs."""
@@ -366,7 +380,7 @@ class TestGduEquivalence:
         x, z, t = _gdu_inputs(rng, requires_grad=True)
         h = fused(x, z, t)
         assert x in h._parents and z in h._parents and t in h._parents
-        deep = unrolled(x, z, t)
+        deep = ref.unrolled_gdu_forward(unrolled, x, z, t)
         assert x not in deep._parents  # the unrolled tape is nested
 
     def test_shape_validation(self, rng):
@@ -406,21 +420,24 @@ class TestGduObservability:
         assert sanitizer.stats.backward_ops > 0
 
 
-def _fit_both_modes(dataset, split):
-    """Loss curves and article logits of a fused and an unrolled fit."""
+def _fit_both_modes(dataset, split, monkeypatch):
+    """Loss curves and article logits of a fused fit (key True) and of the
+    same fit through the unrolled oracle (key False)."""
     from repro.core import FakeDetector, FakeDetectorConfig
 
+    config = FakeDetectorConfig(
+        epochs=4, explicit_dim=30, vocab_size=300, max_seq_len=12, seed=5,
+    )
     curves = {}
     for fused in (True, False):
-        config = FakeDetectorConfig(
-            epochs=4, explicit_dim=30, vocab_size=300, max_seq_len=12,
-            seed=5, fused_kernels=fused,
-        )
-        detector = FakeDetector(config).fit(dataset, split)
-        curves[fused] = (
-            np.asarray(detector.record.total),
-            detector.predict_logits()["article"],
-        )
+        with monkeypatch.context() as patch:
+            if not fused:
+                ref.patch_unrolled(patch)
+            detector = FakeDetector(config).fit(dataset, split)
+            curves[fused] = (
+                np.asarray(detector.record.total),
+                detector.predict_logits()["article"],
+            )
     return curves
 
 
@@ -431,7 +448,7 @@ class TestTrainingEquivalence:
         from repro.core import model as model_module
 
         monkeypatch.setattr(model_module, "COMPUTE_DTYPE", np.float64)
-        curves = _fit_both_modes(tiny_dataset, tiny_split)
+        curves = _fit_both_modes(tiny_dataset, tiny_split, monkeypatch)
         assert curves[True][1].dtype == np.float64
         np.testing.assert_allclose(
             curves[True][0], curves[False][0], rtol=1e-6, atol=1e-8
@@ -440,14 +457,14 @@ class TestTrainingEquivalence:
             curves[True][1], curves[False][1], rtol=1e-5, atol=1e-7
         )
 
-    def test_fit_agrees_in_float32(self, tiny_dataset, tiny_split):
+    def test_fit_agrees_in_float32(self, tiny_dataset, tiny_split, monkeypatch):
         """The compute dtype: both paths round differently, by a few ulps.
 
         The budget is 2^8 float32 ulps of the largest logit, and 2^8 ulps
         relative on the loss curve: far above the reordered sums of the two
         paths, far below what a wrong gate or mask would move.
         """
-        curves = _fit_both_modes(tiny_dataset, tiny_split)
+        curves = _fit_both_modes(tiny_dataset, tiny_split, monkeypatch)
         assert curves[True][1].dtype == np.float32
         budget = 2.0 ** 8 * np.finfo(np.float32).eps
         scale = np.abs(curves[False][1]).max()
@@ -457,25 +474,23 @@ class TestTrainingEquivalence:
         )
 
     def test_detector_checkpoint_round_trip_across_modes(
-        self, tiny_dataset, tiny_split, tmp_path
+        self, tiny_dataset, tiny_split, tmp_path, monkeypatch
     ):
         from repro.core import FakeDetector, FakeDetectorConfig
 
         config = FakeDetectorConfig(
-            epochs=2, explicit_dim=30, vocab_size=300, max_seq_len=12,
-            seed=5, fused_kernels=True,
+            epochs=2, explicit_dim=30, vocab_size=300, max_seq_len=12, seed=5,
         )
         detector = FakeDetector(config).fit(tiny_dataset, tiny_split)
         detector.save(tmp_path / "ckpt")
         loaded = FakeDetector.load(tmp_path / "ckpt")
-        assert loaded.config.fused_kernels is True
         np.testing.assert_array_equal(
             loaded.predict_logits()["article"], detector.predict_logits()["article"]
         )
-        # The same weights evaluated on the unrolled path agree too: the
-        # checkpoint is mode-independent. Both paths run in float64, cast
-        # the way the model and the trainer cast, so the tolerance measures
-        # the paths and not float32 rounding.
+        # The same weights evaluated through the unrolled oracle agree too.
+        # Both paths run in float64, cast the way the model and the trainer
+        # cast, so the tolerance measures the paths and not float32
+        # rounding.
         state = detector.model.state_dict()
         from repro.core.model import FakeDetectorModel
         from repro.core.pipeline import with_explicit_dtype
@@ -485,18 +500,17 @@ class TestTrainingEquivalence:
             for kind in ("article", "creator", "subject")
         }
         features = with_explicit_dtype(detector.features, np.float64)
+        model = FakeDetectorModel(
+            config, rng=np.random.default_rng(0), explicit_dims=explicit_dims
+        ).astype(np.float64)
+        model.load_state_dict(state)
+        model.eval()
         logits = {}
         for fused in (True, False):
-            mode_cfg = FakeDetectorConfig(
-                epochs=2, explicit_dim=30, vocab_size=300, max_seq_len=12,
-                seed=5, fused_kernels=fused,
-            )
-            model = FakeDetectorModel(
-                mode_cfg, rng=np.random.default_rng(0), explicit_dims=explicit_dims
-            ).astype(np.float64)
-            model.load_state_dict(state)
-            model.eval()
-            logits[fused] = model(features, detector.graph)["article"].data
+            with monkeypatch.context() as patch:
+                if not fused:
+                    ref.patch_unrolled(patch)
+                logits[fused] = model(features, detector.graph)["article"].data
         assert logits[False].dtype == np.float64
         np.testing.assert_allclose(
             logits[False], logits[True], rtol=1e-8, atol=1e-10

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 from repro.obs import JsonlSink, Tracer, flush_all, flush_at_exit, trace
 from repro.obs import install_tracer, uninstall_tracer
@@ -134,7 +135,8 @@ class TestTraceStoreLifecycle:
         )
         proc = subprocess.run(
             [sys.executable, "-c", script, str(tmp_path), "src"],
-            cwd="/root/repo", capture_output=True, text=True, timeout=60,
+            cwd=Path(__file__).resolve().parents[1],
+            capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
         lines = (tmp_path / "feed.jsonl").read_text().splitlines()

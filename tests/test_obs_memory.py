@@ -10,6 +10,7 @@ from repro.autograd import Tensor
 from repro.core.gdu import GDU
 from repro.obs import MemoryProfiler, render_memory
 from tests.helpers import op_observers
+from tests.training_oracles import unrolled_gdu_forward
 
 
 def _gdu_step() -> None:
@@ -49,7 +50,7 @@ class TestForwardAttribution:
 
     def test_fused_gdu_forward_is_one_op(self, profiler):
         rng = np.random.default_rng(0)
-        gdu = GDU(input_dim=6, hidden_dim=4, rng=rng)  # fused by default
+        gdu = GDU(input_dim=6, hidden_dim=4, rng=rng)
         x = Tensor(rng.normal(size=(5, 6)))
         z = Tensor(rng.normal(size=(5, 4)))
         t = Tensor(rng.normal(size=(5, 4)))
@@ -60,11 +61,11 @@ class TestForwardAttribution:
 
     def test_unrolled_gdu_forward_touches_expected_ops(self, profiler):
         rng = np.random.default_rng(0)
-        gdu = GDU(input_dim=6, hidden_dim=4, rng=rng, fused=False)
+        gdu = GDU(input_dim=6, hidden_dim=4, rng=rng)
         x = Tensor(rng.normal(size=(5, 6)))
         z = Tensor(rng.normal(size=(5, 4)))
         t = Tensor(rng.normal(size=(5, 4)))
-        gdu(x, z, t)
+        unrolled_gdu_forward(gdu, x, z, t)
         forward = profiler.snapshot()["forward"]
         assert "matmul" in forward and "sigmoid" in forward and "tanh" in forward
         for stats in forward.values():
@@ -74,11 +75,12 @@ class TestForwardAttribution:
     @pytest.mark.parametrize("fused", [True, False])
     def test_gdu_backward_attributes_grad_bytes(self, profiler, fused):
         rng = np.random.default_rng(1)
-        gdu = GDU(input_dim=6, hidden_dim=4, rng=rng, fused=fused)
+        gdu = GDU(input_dim=6, hidden_dim=4, rng=rng)
+        forward = gdu if fused else lambda *xzt: unrolled_gdu_forward(gdu, *xzt)
         x = Tensor(rng.normal(size=(5, 6)), requires_grad=True)
         z = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
         t = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
-        gdu(x, z, t).sum().backward()
+        forward(x, z, t).sum().backward()
         backward = profiler.snapshot()["backward"]
         assert backward  # gradient arrays were produced
         key = "gdu_layer" if fused else "matmul"

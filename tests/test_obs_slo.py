@@ -121,9 +121,8 @@ class TestEvaluation:
         rule = SloRule("queue_depth", "queue_depth", "max", 10,
                        window_seconds=60.0, min_samples=1)
         monitor, _, _ = _monitor([rule])
-        monitor.observe_queue_depth(3)
-        monitor.observe_queue_depth(50)
-        monitor.observe_queue_depth(2)
+        for depth in (3, 50, 2):
+            monitor.observe("queue_depth", depth)
         assert monitor.evaluate()[0].breached
 
     def test_registry_counters_track_breaches(self):

@@ -21,6 +21,12 @@ def fitted(request):
     return FakeDetector(config).fit(dataset, split), dataset
 
 
+def _edit_config(path, **entries):
+    manifest = json.loads((path / "detector.json").read_text())
+    manifest["config"].update(entries)
+    (path / "detector.json").write_text(json.dumps(manifest))
+
+
 class TestRoundTrip:
     def test_bit_identical_logits(self, fitted, tmp_path):
         detector, _ = fitted
@@ -62,6 +68,20 @@ class TestRoundTrip:
         restored = FakeDetector.load(tmp_path / "ckpt")
         assert restored.predict("article") == detector.predict("article")
 
+    def test_retired_fused_kernels_key_loads(self, fitted, tmp_path):
+        """Older checkpoints store ``fused_kernels`` in their config."""
+        detector, _ = fitted
+        path = tmp_path / "ckpt"
+        detector.save(path)
+        without = FakeDetector.load(path)
+        _edit_config(path, fused_kernels=False)
+        restored = FakeDetector.load(path)
+        assert restored.config == without.config
+        for kind in ("article", "creator", "subject"):
+            np.testing.assert_array_equal(
+                restored.predict_logits()[kind], without.predict_logits()[kind]
+            )
+
 
 class TestErrors:
     def test_unfitted_save_raises(self, tmp_path):
@@ -80,6 +100,14 @@ class TestErrors:
         manifest["format"] = "fakedetector-checkpoint/999"
         (path / "detector.json").write_text(json.dumps(manifest))
         with pytest.raises(ValueError):
+            FakeDetector.load(path)
+
+    def test_unknown_config_key_rejected(self, fitted, tmp_path):
+        detector, _ = fitted
+        path = tmp_path / "ckpt"
+        detector.save(path)
+        _edit_config(path, no_such_field=False)
+        with pytest.raises(TypeError, match="no_such_field"):
             FakeDetector.load(path)
 
     def test_format_constant(self):

@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import shutil
+import statistics
 import time
 import urllib.error
 import urllib.request
@@ -404,6 +405,33 @@ class TestDriftDegradation:
         health = json.loads(body)
         assert code == 503
         assert health["slo"]["breached"] == ["drift_psi"]
+
+
+class TestLatencyAccounting:
+    def test_latency_is_recorded_once_per_request(self, checkpoint, tiny_dataset):
+        """``serve.latency_seconds`` holds each request's wall time, the
+        ``timing.total_ms`` it answered with, not that time split over its
+        articles; ``requests`` counts requests."""
+        articles = [tiny_dataset.articles[a] for a in sorted(tiny_dataset.articles)]
+        totals = []
+        with PredictionService(checkpoint, workers=1, max_wait=0.001) as svc:
+            for r in range(3):
+                batch = [
+                    ArticleRequest(f"r{r}_{i}", article.text, article.creator_id,
+                                   list(article.subject_ids))
+                    for i, article in enumerate(
+                        articles[(32 * r + i) % len(articles)] for i in range(32)
+                    )
+                ]
+                status, body, _ = _post(svc.url, _payload(batch))
+                assert status == 200
+                assert len(body["predictions"]) == 32
+                totals.append(body["timing"]["total_ms"])
+            snap = svc.metrics.snapshot()
+        assert snap["requests"] == 3
+        assert snap["latency_p50_ms"] == pytest.approx(
+            statistics.median(totals), rel=1e-9
+        )
 
 
 class TestSloDegradation:

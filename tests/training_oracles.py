@@ -6,6 +6,14 @@ compositions below. These are the plain forms the fast code replaced,
 kept only as oracles: ``tests/test_training_bit_identity.py`` asserts the
 fast code equals them bit for bit, piece by piece and over whole fits
 with these patched in.
+
+The encoder's recurrences and the GDU run as fused kernels, one tape node
+each. :func:`unrolled_encoder_forward` and :func:`unrolled_gdu_forward`
+are the per-timestep and per-gate tapes they replaced, built from the
+modules' own Parameters. ``tests/test_kernels.py`` holds the kernels to
+them (1e-12 forwards and gradients, whole fits with
+:func:`patch_unrolled`), and the throughput benchmarks time them as the
+unrolled arm.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor, _as_array, ensure_tensor
+from repro.autograd.tensor import Tensor, _as_array, concatenate, ensure_tensor
 
 
 def l2_regularization(params, weight: float) -> Tensor:
@@ -140,3 +148,115 @@ def patch_references(monkeypatch) -> None:
     monkeypatch.setattr(optim, "global_grad_norm", grad_norm)
     monkeypatch.setattr(kernels, "embedding_gather", embedding_gather)
     monkeypatch.setattr(Tensor, "backward", tensor_backward)
+
+
+def unrolled_encoder_forward(encoder, sequences) -> Tensor:
+    """``GRUEncoder.forward`` with every cell unrolled, one step at a time.
+
+    Per timestep: an embedding lookup, the cell's gate matmuls and
+    nonlinearities as separate tape ops, and the masked carry of the
+    previous state through padded positions.
+    """
+    seq = np.asarray(
+        sequences.data if isinstance(sequences, Tensor) else sequences, dtype=np.intp
+    )
+    if seq.ndim == 1:
+        seq = seq[None, :]
+    batch, length = seq.shape
+    dtype = encoder.embedding.weight.data.dtype
+    mask = (seq != encoder.padding_idx).astype(dtype)  # (batch, seq_len)
+    valid_cols = np.flatnonzero(mask.any(axis=0))
+    effective = int(valid_cols[-1]) + 1 if valid_cols.size else 0
+    if effective < length:
+        seq = seq[:, :effective]
+        mask = mask[:, :effective]
+        length = effective
+    if length == 0:
+        width = encoder.hidden_size * (2 if encoder.cell_type == "bigru" else 1)
+        return encoder.fusion(Tensor(np.zeros((batch, width), dtype))).sigmoid()
+    if encoder.cell_type == "bigru":
+        return _unrolled_bidirectional(encoder, seq, mask)
+    is_lstm = encoder.cell_type == "lstm"
+    if is_lstm:
+        h, c = encoder.cell.initial_state(batch)
+    else:
+        h = encoder.cell.initial_state(batch)
+    m_cols = mask[:, :, None]
+    keep_cols = 1.0 - m_cols
+    hidden_sum: Optional[Tensor] = None
+    for t in range(length):
+        x_t = encoder.embedding(seq[:, t])
+        m = Tensor(m_cols[:, t])
+        keep = Tensor(keep_cols[:, t])
+        if is_lstm:
+            h_new, c_new = encoder.cell(x_t, (h, c))
+            h = m * h_new + keep * h
+            c = m * c_new + keep * c
+        else:
+            h_new = encoder.cell(x_t, h)
+            h = m * h_new + keep * h
+        contribution = m * h
+        hidden_sum = contribution if hidden_sum is None else hidden_sum + contribution
+    return encoder.fusion(hidden_sum).sigmoid()
+
+
+def _unrolled_bidirectional(encoder, seq: np.ndarray, mask: np.ndarray) -> Tensor:
+    """Bidirectional pass: fuse Σ_t [h_fw(t) ; h_bw(t)] over valid steps."""
+    batch, length = seq.shape
+    m_cols = mask[:, :, None]
+    keep_cols = 1.0 - m_cols
+
+    def direction(cell, time_indices) -> dict:
+        h = cell.initial_state(batch)
+        states = {}
+        for t in time_indices:
+            x_t = encoder.embedding(seq[:, t])
+            m = Tensor(m_cols[:, t])
+            keep = Tensor(keep_cols[:, t])
+            h = m * cell(x_t, h) + keep * h
+            states[t] = h
+        return states
+
+    fw = direction(encoder.cell, range(length))
+    bw = direction(encoder.cell_backward, range(length - 1, -1, -1))
+    hidden_sum: Optional[Tensor] = None
+    for t in range(length):
+        m = Tensor(m_cols[:, t])
+        joint = concatenate([fw[t], bw[t]], axis=1)
+        contribution = m * joint
+        hidden_sum = contribution if hidden_sum is None else hidden_sum + contribution
+    return encoder.fusion(hidden_sum).sigmoid()
+
+
+def unrolled_gdu_forward(gdu, x: Tensor, z: Tensor, t: Tensor) -> Tensor:
+    """``GDU.forward`` as one tape op per gate, candidate and mixture term."""
+    xzt = concatenate([x, z, t], axis=1)
+
+    z_tilde = (xzt @ gdu.w_f + gdu.b_f).sigmoid() * z if gdu.use_forget_gate else z
+    t_tilde = (xzt @ gdu.w_e + gdu.b_e).sigmoid() * t if gdu.use_adjust_gate else t
+
+    def candidate(z_in: Tensor, t_in: Tensor) -> Tensor:
+        return (concatenate([x, z_in, t_in], axis=1) @ gdu.w_u + gdu.b_u).tanh()
+
+    if not gdu.use_selection_gates:
+        return candidate(z_tilde, t_tilde)
+
+    g = (xzt @ gdu.w_g + gdu.b_g).sigmoid()
+    r = (xzt @ gdu.w_r + gdu.b_r).sigmoid()
+    one_m_g = 1 - g
+    one_m_r = 1 - r
+    return (
+        g * r * candidate(z_tilde, t_tilde)
+        + one_m_g * r * candidate(z, t_tilde)
+        + g * one_m_r * candidate(z_tilde, t)
+        + one_m_g * one_m_r * candidate(z, t)
+    )
+
+
+def patch_unrolled(monkeypatch) -> None:
+    """Swap the unrolled forwards in for the fused encoder and GDU."""
+    from repro.autograd import GRUEncoder
+    from repro.core.gdu import GDU
+
+    monkeypatch.setattr(GRUEncoder, "forward", unrolled_encoder_forward)
+    monkeypatch.setattr(GDU, "forward", unrolled_gdu_forward)

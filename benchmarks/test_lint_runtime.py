@@ -1,8 +1,8 @@
-"""Analyzer runtime: the full four-pass lint over the real source tree.
+"""Analyzer runtime: the full three-pass lint over the real source tree.
 
-The whole-program passes (architecture, concurrency, shapes) share one
+The whole-program passes (architecture, concurrency) share one
 :class:`~repro.analysis.ProgramIndex` build, so the budget covers parse +
-index + all four rule families end to end. The analyzer gates commits
+index + all three rule families end to end. The analyzer gates commits
 (``tests/test_lint_clean.py``), so it must stay interactive-fast: the
 budget is 5 seconds for the whole of ``src/repro``.
 
@@ -43,7 +43,7 @@ def test_lint_runtime_budget():
         seconds, result = _run()
         full_runs.append(seconds)
         file_runs.append(_run(passes=["file"])[0])
-        program_runs.append(_run(passes=["arch", "concurrency", "shapes"])[0])
+        program_runs.append(_run(passes=["arch", "concurrency"])[0])
     full = min(full_runs)
     file_only = min(file_runs)
     program_only = min(program_runs)
@@ -66,6 +66,6 @@ def test_lint_runtime_budget():
 
     assert result.files_checked > 50
     assert full <= BUDGET_SECONDS, (
-        f"four-pass lint took {full:.2f}s over {result.files_checked} files "
+        f"three-pass lint took {full:.2f}s over {result.files_checked} files "
         f"(budget {BUDGET_SECONDS}s)"
     )

@@ -7,10 +7,9 @@ Three halves guarding the invariants the paper's math depends on:
   classes: unlogged prints, unseeded randomness, late-bound loop
   closures, in-place tape mutation, swallowed exceptions. Whole-program
   passes over the shared :mod:`repro.analysis.program` index cover the
-  architecture contract (RA1xx, :mod:`repro.analysis.arch`), concurrency
-  and fork-safety (RA2xx, :mod:`repro.analysis.concurrency`) and a
-  tensor-shape abstract interpreter (RA3xx,
-  :mod:`repro.analysis.shapes`). CLI: ``repro lint [--pass ...]``.
+  architecture contract (RA1xx, :mod:`repro.analysis.arch`) and
+  concurrency and fork-safety (RA2xx, :mod:`repro.analysis.concurrency`).
+  CLI: ``repro lint [--pass ...]``.
 - :mod:`repro.analysis.sanitize` — a runtime tape sanitizer observing
   every autograd op: NaN/Inf guard, in-place-mutation detector,
   dead-parameter auditor; plus :mod:`repro.analysis.contracts` shape/dtype

@@ -2,8 +2,8 @@
 
 The engine has two kinds of rules. Per-file rules (RA0xx) see one
 :class:`~repro.analysis.rules.FileContext` at a time, exactly as in the
-original linter. Program rules (RA1xx architecture, RA2xx concurrency,
-RA3xx shapes) run after every file is parsed, over the shared
+original linter. Program rules (RA1xx architecture, RA2xx concurrency)
+run after every file is parsed, over the shared
 :class:`~repro.analysis.program.ProgramIndex` — so a finding in one file
 can be proven by evidence in another (service locks reachable at a fork
 site inside worker.py, say), and that evidence chain ships with the

@@ -2,9 +2,9 @@
 
 The per-file rules of :mod:`repro.analysis.rules` see one
 :class:`~repro.analysis.rules.FileContext` at a time. Everything else —
-layering contracts, fork-safety, shape interpretation — needs the whole
-program, so those rules subclass :class:`ProgramRule` and receive the
-shared :class:`~repro.analysis.program.ProgramIndex` instead.
+layering contracts and fork-safety — needs the whole program, so those
+rules subclass :class:`ProgramRule` and receive the shared
+:class:`~repro.analysis.program.ProgramIndex` instead.
 
 Pass families (selected with ``repro lint --pass``):
 
@@ -14,7 +14,6 @@ pass           rules   what it proves
 file           RA0xx   per-file invariants (prints, randomness, tape)
 arch           RA1xx   import layering, cycles, dead modules/symbols
 concurrency    RA2xx   fork/thread/queue/contextvars safety
-shapes         RA3xx   abstract shape/dtype execution of forward()
 =============  ======  ==============================================
 
 ``--select`` accepts exact ids (``RA204``) and pass-level wildcards
@@ -30,7 +29,7 @@ from .program import ProgramIndex
 from .rules import ALL_RULES, Finding, Rule
 
 #: The run order of the pass families.
-PASS_NAMES = ("file", "arch", "concurrency", "shapes")
+PASS_NAMES = ("file", "arch", "concurrency")
 
 _WILDCARD_RE = re.compile(r"^RA(?P<family>[0-9])XX$")
 
@@ -74,12 +73,10 @@ def _program_rules() -> Dict[str, Tuple[ProgramRule, ...]]:
     # modules themselves without a cycle.
     from .arch import ARCH_RULES
     from .concurrency import CONCURRENCY_RULES
-    from .shapes import SHAPE_RULES
 
     return {
         "arch": ARCH_RULES,
         "concurrency": CONCURRENCY_RULES,
-        "shapes": SHAPE_RULES,
     }
 
 

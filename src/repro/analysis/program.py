@@ -10,13 +10,12 @@ together with the program-wide *usage* sets (name loads, attribute names,
 approximate reachability with.
 
 The index is deliberately syntactic — no imports are executed. Passes
-(:mod:`repro.analysis.arch`, :mod:`repro.analysis.concurrency`,
-:mod:`repro.analysis.shapes`) consume it through a handful of derived
-views: the eager import graph (module-level imports only, the edges that
-run at import time), the full import graph (eager + deferred), a
-call-site approximation (function → called names), and per-module source
-lines so whole-program findings still honor line-level ``# repro: noqa``
-suppressions.
+(:mod:`repro.analysis.arch`, :mod:`repro.analysis.concurrency`) consume
+it through a handful of derived views: the eager import graph
+(module-level imports only, the edges that run at import time), the full
+import graph (eager + deferred), a call-site approximation (function →
+called names), and per-module source lines so whole-program findings
+still honor line-level ``# repro: noqa`` suppressions.
 """
 
 from __future__ import annotations

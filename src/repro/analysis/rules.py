@@ -45,7 +45,7 @@ class Evidence:
 def pass_for_rule(rule_id: str) -> str:
     """The pass family a rule id belongs to (RA0xx=file, RA1xx=arch, …)."""
     if len(rule_id) >= 3 and rule_id.startswith("RA"):
-        family = {"1": "arch", "2": "concurrency", "3": "shapes"}.get(rule_id[2])
+        family = {"1": "arch", "2": "concurrency"}.get(rule_id[2])
         if family is not None:
             return family
     return "file"

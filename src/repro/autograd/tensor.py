@@ -89,12 +89,6 @@ def _observed(observers: tuple, op: str, phase: str, body: Callable, /, *args, *
     return payload
 
 
-#: Public name of every op wrapped by :func:`instrument_op`, in registration
-#: order. This is the authoritative tape-op registry: the profiler and the
-#: sanitizer observe exactly these ops, and the static shape interpreter
-#: (:mod:`repro.analysis.shapes`) must declare a transfer function for each.
-INSTRUMENTED_OPS: list = []
-
 # ----------------------------------------------------------------------
 # No-tape forward mode
 # ----------------------------------------------------------------------
@@ -146,8 +140,6 @@ def instrument_op(op: str, fn: Callable) -> Callable:
     adds no reference cycle. With no observer installed, or the tape off,
     the wrapper costs one test.
     """
-    if op not in INSTRUMENTED_OPS:
-        INSTRUMENTED_OPS.append(op)
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -699,10 +691,9 @@ def randn(*shape, rng: Optional[np.random.Generator] = None, requires_grad: bool
 def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     """Differentiable concatenation along ``axis``."""
     tensors = [ensure_tensor(t) for t in tensors]
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
 
     def backward(grad):
+        offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
         out = []
         for i, t in enumerate(tensors):
             slicer = [slice(None)] * grad.ndim

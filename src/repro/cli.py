@@ -480,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "to run (e.g. RA001,RA2XX)")
     p_lint.add_argument("--pass", default=None, dest="passes",
                         help="comma-separated pass families to run "
-                             "(file,arch,concurrency,shapes; default: all)")
+                             "(file,arch,concurrency; default: all)")
     p_lint.add_argument("--fix-hints", action="store_true",
                         help="print a fix hint under each rule's first finding")
     p_lint.add_argument("--json", action="store_true", dest="as_json",
@@ -682,11 +682,24 @@ def _parse_select(spec: Optional[str]) -> Optional[List[str]]:
     return [r.strip() for r in spec.split(",") if r.strip()]
 
 
+def _valid_selection(command: str, select, passes=None) -> bool:
+    """Whether ``--select``/``--pass`` name rules; if not, say why in one line."""
+    from .analysis import resolve_selection
+
+    try:
+        resolve_selection(select, passes)
+    except ValueError as exc:
+        print(f"{command}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_lint(args) -> int:
     """Run the selected passes; exit 0 only when the tree is clean.
 
     With ``--baseline FILE --fail-on-new``, pre-existing findings (by
     line-insensitive fingerprint) are tolerated and only new ones fail.
+    An unknown pass or rule is a usage error (exit 2).
     """
     import json
 
@@ -698,11 +711,10 @@ def cmd_lint(args) -> int:
         render_findings,
     )
 
-    result = lint_paths(
-        args.paths,
-        select=_parse_select(args.select),
-        passes=_parse_select(args.passes),
-    )
+    select, passes = _parse_select(args.select), _parse_select(args.passes)
+    if not _valid_selection("repro lint", select, passes):
+        return 2
+    result = lint_paths(args.paths, select=select, passes=passes)
     if args.write_baseline is not None:
         args.write_baseline.parent.mkdir(parents=True, exist_ok=True)
         args.write_baseline.write_text(
@@ -734,7 +746,10 @@ def cmd_analysis_report(args) -> int:
 
     from .analysis import lint_paths, render_summary, summarize
 
-    result = lint_paths(args.paths, select=_parse_select(args.select))
+    select = _parse_select(args.select)
+    if not _valid_selection("repro analysis report", select):
+        return 2
+    result = lint_paths(args.paths, select=select)
     if args.as_json:
         print(json.dumps(summarize(result), indent=2, sort_keys=True))
     else:

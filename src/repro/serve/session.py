@@ -146,11 +146,6 @@ class InferenceSession:
                 self._known_nodes[eid] = (kind, row)
 
     # ------------------------------------------------------------------
-    def _encode(self, text: str):
-        """(explicit, sequence) features for one text, via the LRU cache."""
-        explicit, sequences = self._encode_batch([text])
-        return explicit[0], sequences[0]
-
     def _encode_batch(self, texts: Sequence[str]):
         """Batched ``(explicit (n, d), sequences (n, T))`` feature encode.
 

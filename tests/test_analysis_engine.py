@@ -83,7 +83,7 @@ class TestPassSelection:
 
     def test_rule_catalogue_spans_all_passes(self):
         families = {rule.id[2] for rule in all_rules()}
-        assert families == {"0", "1", "2", "3"}
+        assert families == {"0", "1", "2"}
 
 
 class TestSuppressionEdgeCases:

@@ -1,8 +1,7 @@
 """Tier-1 gate: the library source tree must be analyzer-clean.
 
-All four passes — per-file rules, architecture (RA1xx), concurrency
-(RA2xx), tensor shapes (RA3xx) — must report zero findings on
-``src/repro``. Every true positive is either fixed or carries an explicit
+All three passes — per-file rules, architecture (RA1xx) and concurrency
+(RA2xx) — must report zero findings on ``src/repro``. Every true positive is either fixed or carries an explicit
 ``# repro: noqa[RULE] reason`` suppression; this test keeps it that way.
 """
 
@@ -24,13 +23,13 @@ BASELINE = SRC.parent.parent / "results" / "lint_baseline.json"
 def test_source_tree_is_lint_clean():
     result = lint_paths([SRC])
     assert result.files_checked > 50  # the whole package, not a subset
-    assert result.passes_run == ["file", "arch", "concurrency", "shapes"]
+    assert result.passes_run == ["file", "arch", "concurrency"]
     assert result.clean, "\n" + render_findings(result, fix_hints=True)
 
 
 def test_program_passes_are_clean():
     """The whole-program passes alone, via the CLI surface."""
-    assert main(["lint", str(SRC), "--pass", "arch,concurrency,shapes"]) == 0
+    assert main(["lint", str(SRC), "--pass", "arch,concurrency"]) == 0
 
 
 def test_committed_baseline_is_empty():
@@ -70,6 +69,27 @@ def test_cli_lint_exits_nonzero_on_findings(tmp_path, capsys):
     bad.write_text("print('diagnostic')\n")
     assert main(["lint", str(bad)]) == 1
     assert "RA001" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["lint", str(SRC), "--pass", "shapes"], "'file', 'arch', 'concurrency'"),
+        (["lint", str(SRC), "--select", "RA3XX"], "'RA3XX'"),
+        (["lint", str(SRC), "--select", "RA999"], "'RA999'"),
+        (["analysis", "report", str(SRC), "--select", "RA3XX"], "'RA3XX'"),
+    ],
+    ids=["lint-pass", "lint-family", "lint-rule", "report-family"],
+)
+def test_cli_selection_error_is_a_usage_error(argv, named, capsys):
+    """An unknown pass or rule exits 2 with one line, not a traceback."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("repro ")
+    assert captured.err.count("\n") == 1
+    assert named in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_cli_analysis_report_runs(capsys):

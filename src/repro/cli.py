@@ -163,11 +163,6 @@ def cmd_train(args) -> int:
         if args.flame_svg:
             write_flamegraph(flame_profile, args.flame_svg)
             print(f"wrote flamegraph to {args.flame_svg}", file=sys.stderr)
-    if args.checkpoint:
-        from .autograd import save_state
-
-        save_state(detector.model, args.checkpoint)
-        print(f"saved checkpoint to {args.checkpoint}")
     if args.save:
         detector.save(args.save)
         print(f"saved detector to {args.save}")
@@ -277,8 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--explicit-dim", type=int, default=100)
     p_train.add_argument("--max-seq-len", type=int, default=24)
     p_train.add_argument("--folds", type=int, default=10)
-    p_train.add_argument("--checkpoint", type=Path, default=None,
-                         help="write model weights only (.npz)")
     p_train.add_argument("--save", type=Path, default=None,
                          help="write a full detector checkpoint directory "
                               "(loadable by `repro infer`/`repro serve`)")
@@ -340,8 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve_http.add_argument("--workers", type=int, default=2,
                               help="worker processes (model replicas)")
     p_serve_http.add_argument("--shards", type=int, default=1,
-                              help="News-HSN community shards (workers are "
-                                   "dealt round-robin over shards)")
+                              help="worker groups a request's articles are "
+                                   "spread over by article_id hash (workers "
+                                   "are dealt round-robin over shards)")
     p_serve_http.add_argument("--max-batch-size", type=int, default=32,
                               help="per-worker dynamic-batching cap in "
                                    "articles (whole requests are coalesced "

@@ -1,12 +1,6 @@
-"""Heterogeneous network substrate: News-HSN, CV splits, walks, partitions."""
+"""Heterogeneous network substrate: News-HSN, CV splits and walks."""
 
 from .hsn import EdgeType, HeterogeneousNetwork, NodeType
-from .partition import (
-    UnionFind,
-    balanced_assignment,
-    community_article_weights,
-    community_labels,
-)
 from .random_walk import generate_walk_corpus, random_walk
 from .sampling import (
     Split,
@@ -23,10 +17,6 @@ __all__ = [
     "HeterogeneousNetwork",
     "NodeType",
     "EdgeType",
-    "UnionFind",
-    "community_labels",
-    "community_article_weights",
-    "balanced_assignment",
     "random_walk",
     "generate_walk_corpus",
     "Split",

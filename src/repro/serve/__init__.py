@@ -9,11 +9,11 @@ The serving stack, bottom-up:
 - :class:`InferenceSession` — runs the full-graph forward once, caches the
   creator/subject GDU states, then scores via one keyword-driven
   :meth:`InferenceSession.predict` (new articles and/or known node ids).
-- :class:`ShardPlan` — community partitioning of the News-HSN plus the
-  deterministic article → shard router.
+- :class:`ShardPlan` — the deterministic article → shard router (a stable
+  hash of ``article_id``).
 - :mod:`repro.serve.worker` / :class:`PredictionService` — the
-  multi-process pool behind ``repro serve http``: model replicas with
-  shard-local diffusion context, dynamic batching, admission control and
+  multi-process pool behind ``repro serve http``: model replicas that each
+  serve the full graph context, dynamic batching, admission control and
   the versioned HTTP API (``POST /v1/predict``).
 - :mod:`repro.serve.protocol` — the ``repro.serve.request/1`` /
   ``response/1`` / ``error/1`` wire schemas every surface serializes

@@ -22,7 +22,7 @@ from __future__ import annotations
 import time
 from typing import Dict, Optional
 
-from ..obs.metrics import MetricsRegistry, percentile
+from ..obs.metrics import MetricsRegistry
 
 #: Bounded window of per-request latencies kept for percentile estimates.
 LATENCY_WINDOW = 4096
@@ -31,11 +31,7 @@ LATENCY_WINDOW = 4096
 class ServingMetrics:
     """Thread-safe counters for a serving session."""
 
-    def __init__(
-        self,
-        latency_window: int = LATENCY_WINDOW,
-        registry: Optional[MetricsRegistry] = None,
-    ):
+    def __init__(self, registry: Optional[MetricsRegistry] = None):
         self.registry = registry or MetricsRegistry()
         self._started = time.perf_counter()
         self._requests = self.registry.counter("serve.requests")
@@ -44,7 +40,7 @@ class ServingMetrics:
         self._cache_hits = self.registry.counter("serve.cache_hits")
         self._cache_misses = self.registry.counter("serve.cache_misses")
         self._latency = self.registry.histogram(
-            "serve.latency_seconds", window=latency_window
+            "serve.latency_seconds", window=LATENCY_WINDOW
         )
 
     # -- counter views (historical attribute API) ----------------------
@@ -83,11 +79,6 @@ class ServingMetrics:
         (self._cache_hits if hit else self._cache_misses).inc(1)
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _percentile(sorted_values, fraction: float) -> float:
-        # Retained alias; the shared implementation lives in repro.obs.
-        return percentile(sorted_values, fraction)
-
     def snapshot(self) -> Dict[str, float]:
         """Point-in-time report of everything the session has served."""
         elapsed = time.perf_counter() - self._started

@@ -1,4 +1,4 @@
-"""The multi-process sharded prediction service behind ``repro serve http``.
+"""The multi-process prediction service behind ``repro serve http``.
 
 Topology::
 
@@ -17,9 +17,10 @@ Topology::
                       repro.serve.response/1 to the client
 
 Every worker holds a model replica loaded from the same directory
-checkpoint, with its GDU diffusion context restricted to its shard's
-creator/subject communities (:class:`repro.serve.ShardPlan`). The parent
-routes each article of a request to its shard, fans the request out to the
+checkpoint and serves the whole graph context, so the shard never decides
+which neighbour states an article sees. The parent routes each article of a
+request to a shard by a hash of its ``article_id``
+(:class:`repro.serve.ShardPlan`), fans the request out to the
 least-loaded replica per shard, and reassembles predictions in input order.
 
 Admission control is a bounded per-worker in-flight budget
@@ -145,7 +146,8 @@ class PredictionService:
         Pool size (>= ``shards``); workers are dealt round-robin over
         shards so every shard has at least one replica.
     shards:
-        News-HSN partitions (1 = no partitioning, full context per worker).
+        Worker groups a request's articles are spread over, by a hash of
+        each ``article_id``; every worker serves the full graph context.
     host / port:
         HTTP bind address; ``port=0`` picks an ephemeral port.
     max_batch_size / max_wait:
@@ -174,7 +176,7 @@ class PredictionService:
         Each worker arms a :class:`repro.obs.DriftMonitor` against it and
         ships window summaries back with every result; sustained breach on
         any shard degrades ``/v1/healthz``.
-    drift_threshold / drift_window / drift_min_samples:
+    drift_threshold / drift_min_samples:
         Worker-side :class:`repro.obs.DriftMonitor` knobs.
     profile_hz:
         When set, continuous profiling: every worker runs a
@@ -204,10 +206,8 @@ class PredictionService:
         trace_dir=None,
         drift_baseline=None,
         drift_threshold: float = 0.25,
-        drift_window: int = 1024,
         drift_min_samples: int = 50,
         profile_hz: Optional[float] = None,
-        mp_context=None,
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -228,7 +228,6 @@ class PredictionService:
         self.feature_cache_size = feature_cache_size
         self.warmup_timeout = warmup_timeout
         self.slo = slo
-        self._mp_context = mp_context
         self._host_arg, self._port_arg = host, port
         self._log = get_logger("serve.service")
         self._drift_log = get_logger("obs.drift")
@@ -249,7 +248,6 @@ class PredictionService:
             drift_baseline = candidate if candidate.exists() else None
         self.drift_baseline = str(drift_baseline) if drift_baseline else None
         self.drift_threshold = drift_threshold
-        self.drift_window = drift_window
         self.drift_min_samples = drift_min_samples
         #: latest drift window summary per shard (collector-maintained)
         self._drift_status: Dict[int, Dict] = {}
@@ -262,11 +260,7 @@ class PredictionService:
         self._http_errors = registry.counter("serve.http_errors")
         self._inflight_gauge = registry.gauge("serve.inflight")
 
-        self.plan = (
-            ShardPlan.single()
-            if shards == 1
-            else ShardPlan.from_checkpoint(self.checkpoint, shards)
-        )
+        self.plan = ShardPlan(shards)
         self.model_digest = checkpoint_digest(self.checkpoint)
 
         self._workers: List[WorkerHandle] = []
@@ -307,9 +301,7 @@ class PredictionService:
             raise RuntimeError("PredictionService already started")
         import multiprocessing
 
-        ctx = self._mp_context or multiprocessing.get_context()
-        self._responses = ctx.Queue()
-        plan_payload = self.plan.to_dict() if self.num_shards > 1 else None
+        self._responses = multiprocessing.Queue()
         try:
             cores = len(os.sched_getaffinity(0))
         except AttributeError:  # no affinity API on this platform
@@ -321,18 +313,15 @@ class PredictionService:
                 self.checkpoint,
                 worker_id,
                 shard,
-                plan_payload,
                 self._responses,
                 max_batch_size=self.max_batch_size,
                 max_wait=self.max_wait,
                 feature_cache_size=self.feature_cache_size,
                 drift_baseline=self.drift_baseline,
                 drift_threshold=self.drift_threshold,
-                drift_window=self.drift_window,
                 drift_min_samples=self.drift_min_samples,
                 profile_hz=self.profile_hz,
                 blas_limit=blas_limit,
-                mp_context=ctx,
             )
             self._workers.append(handle)
             self._shard_workers.setdefault(shard, []).append(handle)
@@ -472,9 +461,8 @@ class PredictionService:
                     entry.event.set()
                 continue
             if kind == "result":
-                worker_id, req_id, predictions, stats = message[1:5]
+                _, worker_id, req_id, predictions, stats, worker_spans = message
                 error = None
-                worker_spans = message[5] if len(message) > 5 else []
                 if worker_spans and self.trace_store is not None:
                     trace_id = worker_spans[0].get("trace_id")
                     if trace_id:

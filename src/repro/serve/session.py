@@ -71,12 +71,6 @@ class InferenceSession:
         A fitted detector (freshly trained or :meth:`FakeDetector.load`-ed).
     feature_cache_size:
         LRU capacity for per-text feature vectors (0 disables the cache).
-    context_ids:
-        Optional ``{"creator": ids, "subject": ids}`` restriction of the
-        cached diffusion context — the shard-local mode used by
-        :mod:`repro.serve.worker`. Creators/subjects outside the sets take
-        the zero-state fallback exactly like ids absent from the graph;
-        with ``None`` (the default) the full graph context is cached.
     drift:
         Optional :class:`repro.obs.DriftMonitor`. When set, every article
         batch's explicit features and logits feed the monitor's rolling
@@ -92,7 +86,6 @@ class InferenceSession:
         detector: "FakeDetector",
         *,
         feature_cache_size: int = 2048,
-        context_ids: Optional[Dict[str, set]] = None,
         drift=None,
     ):
         if detector.model is None or detector.features is None:
@@ -124,17 +117,6 @@ class InferenceSession:
         self._h_subject = states["subject"].data.copy()
         self._creator_rows = dict(detector.features.creators.index)
         self._subject_rows = dict(detector.features.subjects.index)
-        if context_ids is not None:
-            keep_creators = set(context_ids.get("creator", ()))
-            keep_subjects = set(context_ids.get("subject", ()))
-            self._creator_rows = {
-                cid: row for cid, row in self._creator_rows.items()
-                if cid in keep_creators
-            }
-            self._subject_rows = {
-                sid: row for sid, row in self._subject_rows.items()
-                if sid in keep_subjects
-            }
         self._extractor = detector.features.extractors["article"]
         self._vocab = detector.features.vocab
         # id -> (kind, row) lookup for known-node predictions, resolved in
@@ -174,9 +156,7 @@ class InferenceSession:
         if miss_idx:
             if len(miss_tokens) == 1:
                 # Single-request misses skip CSR assembly: one dict-lookup
-                # count pass gives the same counts; an L2-normalized row
-                # may differ from the CSR row in the last bit, because
-                # the two paths sum the squares in a different order.
+                # count pass gives the CSR row's bytes.
                 explicit = self._extractor.transform_one(miss_tokens[0])[None]
             else:
                 explicit = self._extractor.transform(miss_tokens)

@@ -1,226 +1,38 @@
-"""Shard planning and request routing for the multi-process service.
+"""Request routing for the multi-process service.
 
-A :class:`ShardPlan` partitions the trained News-HSN's creators and
-subjects into ``num_shards`` shards so each worker only holds the GDU
-diffusion context its traffic needs:
+A :class:`ShardPlan` only routes: it spreads a request's articles over
+``num_shards`` worker groups. Every worker holds the whole trained
+News-HSN context, so the shard an article lands on never decides which
+neighbour states it sees; they fall back to the zero state (§4.2's
+unused-port convention) only when they are absent from the graph.
 
-- When the creator↔subject projection has at least ``num_shards``
-  connected **communities** (see :mod:`repro.graph.partition`), whole
-  communities are bin-packed onto shards by article weight. Communities
-  are closed under training-graph edges, so a shard's context is exactly
-  local and no state is replicated.
-- Real fact-checking graphs are usually one giant component (a handful of
-  subjects touch every creator). With fewer communities than shards the
-  plan falls back to a **creator-level split**: creators are bin-packed by
-  article count and each subject's hidden state is replicated onto every
-  shard that has a creator linked to it. Context stays local for
-  training-shaped traffic (an article's subjects always co-occur with its
-  creator on that creator's shard) at the cost of duplicating the small
-  subject state table.
-
-Routing (:meth:`ShardPlan.shard_for`) is a pure function of the request:
-
-1. known ``creator_id`` → that creator's shard;
-2. else the lowest known ``subject_id`` (sorted, so the subject list's
-   order cannot change the route) → that subject's home shard;
-3. else (nothing known in the graph) a stable SHA-1 hash of
-   ``article_id`` modulo ``num_shards``.
-
-Rule 3 makes the plan usable for cold traffic too, and the whole function
-is deterministic across processes and restarts — the property the service
-relies on for cache locality and the tests pin down.
+The route is a stable SHA-1 hash of ``article_id`` modulo ``num_shards``:
+deterministic across processes and restarts, and blind to the article's
+creator and subjects.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-from typing import Dict, List, Sequence
-
-import numpy as np
-
-from ..graph.partition import (
-    balanced_assignment,
-    community_article_weights,
-    community_labels,
-)
 
 
 def _stable_hash(value: str) -> int:
     return int.from_bytes(hashlib.sha1(value.encode("utf-8")).digest()[:8], "big")
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class ShardPlan:
-    """Deterministic creator/subject → shard assignment plus the router."""
+    """The article → shard router of a ``num_shards``-group pool."""
 
     num_shards: int
-    creator_shard: Dict[str, int]
-    subject_shard: Dict[str, int]       # routing home (one shard per subject)
-    #: shards holding each subject's hidden state (>= the home shard; more
-    #: than one only in the creator-split fallback, where subjects whose
-    #: articles span shards are replicated).
-    subject_context: Dict[str, List[int]]
-    shard_weights: List[float]          # articles per shard (balance report)
 
-    # -- construction --------------------------------------------------
-    @classmethod
-    def single(cls) -> "ShardPlan":
-        """The trivial 1-shard plan (everything routes to shard 0)."""
-        return cls(1, {}, {}, {}, [0.0])
-
-    @classmethod
-    def from_detector(cls, detector, num_shards: int) -> "ShardPlan":
-        """Partition a fitted/loaded detector's graph into ``num_shards``."""
-        if num_shards < 1:
+    def __post_init__(self):
+        if self.num_shards < 1:
             raise ValueError("num_shards must be >= 1")
-        if detector.features is None or detector.graph is None:
-            raise RuntimeError("ShardPlan requires a fitted detector")
-        features, graph = detector.features, detector.graph
-        creator_comm, subject_comm, n_comm = community_labels(
-            features.creators.num,
-            features.subjects.num,
-            graph.article_creator,
-            graph.article_subject_gather,
-            graph.article_subject_segment,
-        )
-        if n_comm >= num_shards:
-            creator_rows, subject_rows, subject_ctx_rows = _community_split(
-                creator_comm, subject_comm, n_comm, graph.article_creator,
-                num_shards,
-            )
-        else:
-            creator_rows, subject_rows, subject_ctx_rows = _creator_split(
-                features.creators.num, features.subjects.num,
-                graph.article_creator, graph.article_subject_gather,
-                graph.article_subject_segment, num_shards,
-            )
-        shard_weights = [0.0] * num_shards
-        for creator_row in np.asarray(graph.article_creator, dtype=np.intp):
-            shard_weights[creator_rows[creator_row]] += 1.0
-        return cls(
-            num_shards=num_shards,
-            creator_shard={
-                cid: int(creator_rows[row])
-                for cid, row in features.creators.index.items()
-            },
-            subject_shard={
-                sid: int(subject_rows[row])
-                for sid, row in features.subjects.index.items()
-            },
-            subject_context={
-                sid: subject_ctx_rows[row]
-                for sid, row in features.subjects.index.items()
-            },
-            shard_weights=shard_weights,
-        )
-
-    @classmethod
-    def from_checkpoint(cls, path, num_shards: int) -> "ShardPlan":
-        """Build the plan straight from a checkpoint directory."""
-        from .checkpoint import load_detector
-
-        return cls.from_detector(load_detector(path), num_shards)
-
-    # -- routing -------------------------------------------------------
-    def shard_for(
-        self, article_id: str, creator_id: str = "", subject_ids: Sequence[str] = ()
-    ) -> int:
-        """The shard that owns this article's diffusion context."""
-        if self.num_shards == 1:
-            return 0
-        shard = self.creator_shard.get(creator_id)
-        if shard is not None:
-            return shard
-        for subject_id in sorted(subject_ids):
-            shard = self.subject_shard.get(subject_id)
-            if shard is not None:
-                return shard
-        return _stable_hash(article_id) % self.num_shards
 
     def route(self, article) -> int:
-        """:meth:`shard_for` over anything with the article attributes."""
-        return self.shard_for(
-            article.article_id, article.creator_id, article.subject_ids
-        )
-
-    def context_ids(self, shard: int) -> Dict[str, set]:
-        """The creator/subject ids whose GDU states shard ``shard`` holds."""
-        if not 0 <= shard < self.num_shards:
-            raise ValueError(f"shard {shard} out of range 0..{self.num_shards - 1}")
-        return {
-            "creator": {c for c, s in self.creator_shard.items() if s == shard},
-            "subject": {
-                s for s, shards in self.subject_context.items()
-                if shard in shards
-            },
-        }
-
-    # -- serialization (workers receive the plan over process spawn) ---
-    def to_dict(self) -> Dict:
-        return {
-            "num_shards": self.num_shards,
-            "creator_shard": dict(self.creator_shard),
-            "subject_shard": dict(self.subject_shard),
-            "subject_context": {
-                sid: list(shards) for sid, shards in self.subject_context.items()
-            },
-            "shard_weights": list(self.shard_weights),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict) -> "ShardPlan":
-        return cls(
-            num_shards=int(payload["num_shards"]),
-            creator_shard={k: int(v) for k, v in payload["creator_shard"].items()},
-            subject_shard={k: int(v) for k, v in payload["subject_shard"].items()},
-            subject_context={
-                k: [int(s) for s in v]
-                for k, v in payload["subject_context"].items()
-            },
-            shard_weights=[float(w) for w in payload["shard_weights"]],
-        )
-
-
-def _community_split(creator_comm, subject_comm, n_comm, article_creator,
-                     num_shards: int):
-    """Whole communities onto shards; context is closed, nothing replicated."""
-    weights = community_article_weights(creator_comm, n_comm, article_creator)
-    assignment = balanced_assignment(weights, num_shards)
-    creator_rows = [assignment[creator_comm[row]]
-                    for row in range(len(creator_comm))]
-    subject_rows = [assignment[subject_comm[row]]
-                    for row in range(len(subject_comm))]
-    subject_ctx = [[shard] for shard in subject_rows]
-    return creator_rows, subject_rows, subject_ctx
-
-
-def _creator_split(num_creators, num_subjects, article_creator,
-                   article_subject_gather, article_subject_segment,
-                   num_shards: int):
-    """The one-giant-component fallback: split creators, replicate subjects.
-
-    Creators are bin-packed by article count; a subject's state is placed on
-    every shard with an adjacent creator, and its routing home is the shard
-    holding most of its article links (ties → the lowest shard id).
-    """
-    article_creator = np.asarray(article_creator, dtype=np.intp)
-    creator_weights = np.bincount(article_creator, minlength=num_creators)
-    creator_rows = balanced_assignment(
-        [float(w) for w in creator_weights], num_shards
-    )
-    link_counts = np.zeros((num_subjects, num_shards), dtype=np.int64)
-    gather = np.asarray(article_subject_gather, dtype=np.intp)
-    segment = np.asarray(article_subject_segment, dtype=np.intp)
-    for subject_row, article_row in zip(gather, segment):
-        shard = creator_rows[article_creator[article_row]]
-        link_counts[subject_row, shard] += 1
-    subject_rows = []
-    subject_ctx = []
-    for row in range(num_subjects):
-        counts = link_counts[row]
-        shards = sorted(int(s) for s in np.nonzero(counts)[0])
-        home = int(counts.argmax()) if shards else 0  # argmax ties → lowest
-        subject_rows.append(home)
-        subject_ctx.append(shards or [home])
-    return creator_rows, subject_rows, subject_ctx
+        """The shard of anything with an ``article_id`` attribute."""
+        if self.num_shards == 1:
+            return 0
+        return _stable_hash(article.article_id) % self.num_shards

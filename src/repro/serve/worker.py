@@ -1,9 +1,9 @@
-"""Worker processes: model replicas with shard-local diffusion context.
+"""Worker processes: model replicas that each serve the whole graph.
 
 Each :class:`WorkerHandle` owns one OS process running :func:`worker_main`:
 load the directory checkpoint, build an :class:`repro.serve.InferenceSession`
-restricted to the worker's shard context (see :class:`repro.serve.ShardPlan`),
-then loop — drain a micro-batch from the request queue (dynamic batching:
+over the full graph context (the shard only names the worker's group), then
+loop — drain a micro-batch from the request queue (dynamic batching:
 whole requests until the batch holds ``max_batch_size`` articles, waiting
 at most ``max_wait`` seconds after the first), run one batched forward,
 and push per-request results to the shared response queue. The wire
@@ -54,7 +54,7 @@ import multiprocessing
 import os
 import queue as queue_mod
 import time
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 #: Fallback result when a drained request cannot be answered.
 _STOP = ("stop",)
@@ -137,16 +137,10 @@ def _drain_batch(requests, first, max_batch_size: int, max_wait: float) -> List:
     return batch
 
 
-def _request_trace(message) -> Optional[Dict]:
-    """The trace dict of one predict message (``None`` pre-revision)."""
-    return message[4] if len(message) > 4 else None
-
-
 def worker_main(
     checkpoint: str,
     worker_id: int,
     shard: int,
-    plan_payload: Optional[Dict],
     requests,
     responses,
     *,
@@ -155,7 +149,6 @@ def worker_main(
     feature_cache_size: int = 2048,
     drift_baseline: Optional[str] = None,
     drift_threshold: float = 0.25,
-    drift_window: int = 1024,
     drift_min_samples: int = 50,
     profile_hz: Optional[float] = None,
     blas_limit: Optional[int] = None,
@@ -172,32 +165,22 @@ def worker_main(
     from .checkpoint import checkpoint_digest, load_detector
     from .protocol import encode_prediction
     from .session import ArticleRequest, InferenceSession
-    from .shard import ShardPlan
 
     log = get_logger("serve.worker")
     blas_threads = None
     if blas_limit is not None:
         blas_threads = _cap_blas_threads(blas_limit)
     detector = load_detector(checkpoint)
-    context_ids = None
-    if plan_payload is not None:
-        plan = ShardPlan.from_dict(plan_payload)
-        if plan.num_shards > 1:
-            context_ids = plan.context_ids(shard)
     drift = None
     if drift_baseline is not None:
         drift = DriftMonitor(
             BaselineProfile.load(drift_baseline),
-            window=drift_window,
             threshold=drift_threshold,
             min_samples=drift_min_samples,
             shard=shard,
         )
     session = InferenceSession(
-        detector,
-        feature_cache_size=feature_cache_size,
-        context_ids=context_ids,
-        drift=drift,
+        detector, feature_cache_size=feature_cache_size, drift=drift
     )
     digest = checkpoint_digest(checkpoint)
     # The profiler stays a local (never module state — RA203): it is born
@@ -281,7 +264,7 @@ def worker_main(
         if drift is not None:
             stats["drift"] = drift.summary()
         for (lo, hi, return_proba), entry in zip(spans, batch):
-            req_id, trace = entry[1], _request_trace(entry)
+            req_id, trace = entry[1], entry[4]
             serialize_start = time.time()
             encoded = []
             for prediction in predictions[lo:hi]:
@@ -356,7 +339,6 @@ def spawn_worker(
     checkpoint: str,
     worker_id: int,
     shard: int,
-    plan_payload: Optional[Dict],
     responses,
     *,
     max_batch_size: int = 32,
@@ -364,25 +346,21 @@ def spawn_worker(
     feature_cache_size: int = 2048,
     drift_baseline: Optional[str] = None,
     drift_threshold: float = 0.25,
-    drift_window: int = 1024,
     drift_min_samples: int = 50,
     profile_hz: Optional[float] = None,
     blas_limit: Optional[int] = None,
-    mp_context=None,
 ) -> WorkerHandle:
     """Start one worker process and return its parent-side handle."""
-    ctx = mp_context or multiprocessing.get_context()
-    requests = ctx.Queue()
-    process = ctx.Process(
+    requests = multiprocessing.Queue()
+    process = multiprocessing.Process(
         target=worker_main,
-        args=(str(checkpoint), worker_id, shard, plan_payload, requests, responses),
+        args=(str(checkpoint), worker_id, shard, requests, responses),
         kwargs={
             "max_batch_size": max_batch_size,
             "max_wait": max_wait,
             "feature_cache_size": feature_cache_size,
             "drift_baseline": drift_baseline,
             "drift_threshold": drift_threshold,
-            "drift_window": drift_window,
             "drift_min_samples": drift_min_samples,
             "profile_hz": profile_hz,
             "blas_limit": blas_limit,

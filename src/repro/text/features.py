@@ -179,7 +179,13 @@ class BagOfWordsExtractor:
         return self
 
     def transform_one(self, tokens: Sequence[str]) -> np.ndarray:
-        """Featurize one token list into a (weighted) count vector (d,)."""
+        """Featurize one token list into a (weighted) count vector (d,).
+
+        The bytes equal the matching :meth:`transform` row: the L2 norm is
+        :meth:`CsrMatrix.normalize_rows`'s arithmetic, a ``bincount`` sum
+        of the non-zero squares in column order, then a multiply by the
+        reciprocal.
+        """
         vec = np.zeros(self.dim, dtype=np.float64)
         for tok in tokens:
             idx = self._word_to_index.get(tok)
@@ -190,9 +196,14 @@ class BagOfWordsExtractor:
                 raise RuntimeError("call fit_idf() before tfidf transforms")
             vec *= self.idf
         if self.normalize:
-            norm = np.linalg.norm(vec)
+            nonzero = vec[vec != 0]
+            sq = np.bincount(
+                np.zeros(nonzero.size, dtype=np.intp),
+                weights=nonzero * nonzero, minlength=1,
+            )
+            norm = np.sqrt(sq[0])
             if norm > 0:
-                vec /= norm
+                vec *= 1.0 / norm
         return vec
 
     # ------------------------------------------------------------------
@@ -226,9 +237,8 @@ class BagOfWordsExtractor:
 
         The sparse path the pipeline and the serving session use: one CSR
         construction pass, then tf-idf scaling and L2 normalization as
-        vectorized operations over the non-zeros only. Values match
-        :meth:`transform_one` (same counts, same idf products; the L2 norm
-        is accumulated over the non-zeros instead of the full row).
+        vectorized operations over the non-zeros only. Each row has the
+        bytes of :meth:`transform_one` on that document.
         """
         csr = csr_from_token_docs(documents, self._word_to_index, self.dim)
         if self.weighting == "tfidf":

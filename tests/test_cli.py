@@ -46,16 +46,16 @@ class TestCommands:
         assert "Table 1" in capsys.readouterr().out
 
     def test_train_reports_metrics(self, tmp_path, capsys):
-        ckpt = tmp_path / "model.npz"
+        ckpt = tmp_path / "ckpt"
         code = main([
             "train", "--scale", "0.01", "--seed", "3", "--epochs", "3",
             "--explicit-dim", "30", "--max-seq-len", "10",
-            "--checkpoint", str(ckpt),
+            "--save", str(ckpt),
         ])
         assert code == 0
         out = capsys.readouterr().out
         assert "article" in out and "bi-acc=" in out
-        assert ckpt.exists()
+        assert (ckpt / "model.npz").exists()
 
     def test_train_profile_memory_with_sanitize(self, capsys):
         code = main([

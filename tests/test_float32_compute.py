@@ -277,10 +277,8 @@ def test_article_hflu_rows_do_not_depend_on_batch_width(fitted_wide):
 def test_served_probabilities_do_not_depend_on_batch_composition(fitted_wide):
     """64 requests alone and inside a 200-article batch: the same bytes.
 
-    Narrower served batches are not pinned. At width 1 a batch with one
-    cache miss takes ``transform_one``, which may differ from the batched
-    path in the last bit (see ``InferenceSession._encode_batch``), and at
-    widths 2 and 3 the article head's matmul rounds differently.
+    Narrower served batches are not pinned: at widths 2 and 3 the article
+    head's matmul rounds differently.
     """
     detector, dataset = fitted_wide
     requests = bulk_requests(dataset, n=200)

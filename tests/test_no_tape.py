@@ -234,17 +234,6 @@ class TestNeighbourStates:
         assert not t[1].any() and not t[2].any()  # no known creator
         assert z[0].any() and t[0].any()
 
-    def test_shard_restricted_context(self, fitted, mixed_requests):
-        from repro.serve import ShardPlan
-
-        detector, _ = fitted
-        plan = ShardPlan.from_detector(detector, 2)
-        for shard in range(2):
-            session = InferenceSession(
-                detector, context_ids=plan.context_ids(shard)
-            )
-            self._assert_matches_oracle(session, mixed_requests)
-
     def test_single_and_empty_batches(self, fitted, mixed_requests):
         detector, _ = fitted
         session = InferenceSession(detector)

@@ -1,5 +1,7 @@
 """End-to-end HTTP service: parity, routing, admission control, health."""
 
+import dataclasses
+import itertools
 import json
 import multiprocessing
 import os
@@ -12,6 +14,7 @@ import urllib.request
 import pytest
 
 from repro.core import FakeDetector, FakeDetectorConfig
+from repro.data import NewsDataset
 from repro.obs import SloMonitor, default_serving_rules, parse_prometheus
 from repro.serve import (
     REQUEST_SCHEMA,
@@ -79,25 +82,29 @@ def service(checkpoint, tmp_path_factory):
         yield svc
 
 
+def _id_on_shard(plan, prefix, shard):
+    """The first ``prefix_<i>`` article id that ``plan`` routes to ``shard``."""
+    return next(
+        f"{prefix}_{i}" for i in itertools.count()
+        if plan.route(ArticleRequest(f"{prefix}_{i}", "")) == shard
+    )
+
+
 @pytest.fixture(scope="module")
 def shard_articles(request, service):
-    """Shard-local articles for both shards, plus a cold one.
+    """Articles that route to both shards, plus a cold one.
 
-    Each grounded article names a creator from a distinct shard (and no
-    subjects), plus one training-shaped request (a known creator with its
-    training subjects) — the traffic classes shard-local serving is
-    lossless for.
+    One grounded article per shard, each naming a different known creator
+    (and no subjects), with an id picked to route to that shard; plus one
+    training-shaped request (a known creator with its training subjects).
     """
     dataset = request.getfixturevalue("tiny_dataset")
-    by_shard = {}
-    for creator, shard in sorted(service.plan.creator_shard.items()):
-        by_shard.setdefault(shard, creator)
-    assert set(by_shard) == {0, 1}
+    creators = sorted(dataset.creators)
     articles = [
-        ArticleRequest(f"grounded_{shard}",
+        ArticleRequest(_id_on_shard(service.plan, "grounded", shard),
                        "secret rigged hoax conspiracy scandal",
-                       creator_id=creator)
-        for shard, creator in sorted(by_shard.items())
+                       creator_id=creators[shard])
+        for shard in range(service.num_shards)
     ]
     template = next(iter(dataset.articles.values()))
     articles.append(
@@ -156,6 +163,68 @@ class TestPredictEndpoint:
         _, first, _ = _post(service.url, _payload(shard_articles))
         _, second, _ = _post(service.url, _payload(shard_articles))
         assert first["predictions"] == second["predictions"]
+
+
+def _two_community_dataset(dataset):
+    """``dataset`` rewired into two creator/subject communities.
+
+    Articles of the first six creators link only the first five subjects;
+    every other article links only the remaining subjects. An article that
+    names a creator of one community and a subject of the other then has
+    graph neighbours that no training article joins.
+    """
+    creators = sorted(dataset.creators)
+    subjects = sorted(dataset.subjects)
+    left_creators, left, right = set(creators[:6]), subjects[:5], subjects[5:]
+    articles = {}
+    for i, (aid, article) in enumerate(sorted(dataset.articles.items())):
+        own = left if article.creator_id in left_creators else right
+        kept = [s for s in article.subject_ids if s in own] or [own[i % len(own)]]
+        articles[aid] = dataclasses.replace(article, subject_ids=kept)
+    return NewsDataset(articles, dict(dataset.creators), dict(dataset.subjects))
+
+
+class TestFullGraphContext:
+    """Every worker serves the whole graph, whatever shard it is on."""
+
+    @pytest.fixture(scope="class")
+    def community_checkpoint(self, request, tmp_path_factory):
+        dataset = _two_community_dataset(request.getfixturevalue("tiny_dataset"))
+        config = FakeDetectorConfig(
+            epochs=2, explicit_dim=24, vocab_size=400, max_seq_len=10,
+            embed_dim=4, rnn_hidden=6, latent_dim=4, gdu_hidden=8, seed=0,
+        )
+        detector = FakeDetector(config).fit(
+            dataset, request.getfixturevalue("tiny_split")
+        )
+        path = tmp_path_factory.mktemp("communities") / "detector"
+        detector.save(path)
+        return path, dataset
+
+    def test_cross_community_article_matches_full_context(
+        self, community_checkpoint
+    ):
+        path, dataset = community_checkpoint
+        creators = sorted(dataset.creators)
+        subjects = sorted(dataset.subjects)
+        template = dataset.articles[sorted(dataset.articles)[0]]
+        article = ArticleRequest("bridge", template.text,
+                                 creator_id=creators[0],
+                                 subject_ids=[subjects[-1]])
+        session = InferenceSession(FakeDetector.load(path))
+        (want,) = session.predict([article], return_proba=True)
+        # The far subject's state moves this article's prediction, so a
+        # worker that dropped it would be caught below.
+        (alone,) = session.predict(
+            [dataclasses.replace(article, subject_ids=[])], return_proba=True
+        )
+        assert abs(alone.proba - want.proba).max() > 1e-6
+        with PredictionService(path, workers=2, shards=2, max_wait=0.001) as svc:
+            status, doc, _ = _post(svc.url, _payload([article], return_proba=True))
+        assert status == 200
+        (got,) = doc["predictions"]
+        assert got["class_index"] == want.class_index
+        assert max(abs(a - b) for a, b in zip(got["proba"], want.proba)) <= 1e-9
 
 
 class TestErrorPaths:
@@ -647,7 +716,7 @@ class TestWorkerLoopRobustness:
         requests, responses = queue.Queue(), queue.Queue()
         thread = threading.Thread(
             target=worker_mod.worker_main,
-            args=("ckpt", 0, 0, None, requests, responses),
+            args=("ckpt", 0, 0, requests, responses),
             daemon=True,
         )
         thread.start()

@@ -256,27 +256,3 @@ class TestUnifiedSurface:
 
         assert not hasattr(session_mod, "_warn_deprecated")
         assert not hasattr(session_mod, "_DEPRECATION_WARNED")
-
-    def test_context_ids_prune_to_zero_state(self, fitted, new_articles):
-        detector, _ = fitted
-        pruned = InferenceSession(
-            detector, context_ids={"creator": set(), "subject": set()}
-        )
-        full = InferenceSession(detector)
-        ghost = [a for a in new_articles if a.article_id == "s3"]
-        grounded = [a for a in new_articles if a.article_id != "s3"]
-        # s3's creator/subject are unknown everywhere: pruning is a no-op.
-        assert [p.class_index for p in pruned.predict(ghost)] \
-            == [p.class_index for p in full.predict(ghost)]
-        # Grounded articles lose their diffusion context under an empty
-        # shard: logits must equal the all-unknown (zero state) path.
-        stripped = [
-            type(a)(a.article_id, a.text, a.label, "no_such_creator", [])
-            if hasattr(a, "label")
-            else ArticleRequest(a.article_id, a.text, "no_such_creator", [])
-            for a in grounded
-        ]
-        a = pruned.predict(grounded, return_proba=True)
-        b = full.predict(stripped, return_proba=True)
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x.proba, y.proba)

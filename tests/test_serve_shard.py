@@ -1,159 +1,58 @@
-"""Shard planning: deterministic routing, community closure, balance."""
+"""Shard routing: a stable hash of ``article_id``, blind to the graph."""
 
-import numpy as np
+import hashlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import FakeDetector, FakeDetectorConfig
-from repro.graph import balanced_assignment, community_labels
-from repro.serve import ShardPlan
-
-
-@pytest.fixture(scope="module")
-def fitted(request):
-    dataset = request.getfixturevalue("tiny_dataset")
-    split = request.getfixturevalue("tiny_split")
-    config = FakeDetectorConfig(
-        epochs=2, explicit_dim=24, vocab_size=400, max_seq_len=10,
-        embed_dim=4, rnn_hidden=6, latent_dim=4, gdu_hidden=8, seed=0,
-    )
-    return FakeDetector(config).fit(dataset, split), dataset
+from repro.serve import ArticleRequest, ShardPlan
 
 
-@pytest.fixture(scope="module")
-def plan(fitted):
-    detector, _ = fitted
-    return ShardPlan.from_detector(detector, 2)
-
-
-class TestPartitionPrimitives:
-    def test_community_labels_two_components(self):
-        # creators {0,1} share subjects via articles; creator 2 is isolated
-        # with subject 2. article_creator[i] = creator row of article i.
-        article_creator = np.array([0, 1, 2])
-        gather = np.array([0, 1, 1, 2])    # subject rows
-        segment = np.array([0, 0, 1, 2])   # article rows
-        creators, subjects, n = community_labels(
-            3, 3, article_creator, gather, segment
-        )
-        assert n == 2
-        assert creators[0] == creators[1] == subjects[0] == subjects[1]
-        assert creators[2] == subjects[2]
-        assert creators[0] != creators[2]
-
-    def test_lonely_nodes_get_their_own_community(self):
-        creators, subjects, n = community_labels(
-            2, 1, np.array([], dtype=int), np.array([], dtype=int),
-            np.array([], dtype=int),
-        )
-        assert n == 3
-        assert len({creators[0], creators[1], subjects[0]}) == 3
-
-    def test_balanced_assignment_is_lpt(self):
-        # LPT: 5 → shard 0, 4 → shard 1, 3 → shard 1 (load 7? no: loads
-        # after two are (5, 4) so 3 lands on shard 1), 1 → shard 0.
-        assert balanced_assignment([5.0, 4.0, 3.0, 1.0], 2) == [0, 1, 1, 0]
-
-    def test_balanced_assignment_deterministic_on_ties(self):
-        a = balanced_assignment([1.0] * 6, 3)
-        b = balanced_assignment([1.0] * 6, 3)
-        assert a == b
-        assert sorted(a.count(s) for s in range(3)) == [2, 2, 2]
-
-    def test_invalid_shard_count(self):
-        with pytest.raises(ValueError):
-            balanced_assignment([1.0], 0)
+def _sha1_route(article_id: str, num_shards: int) -> int:
+    digest = hashlib.sha1(article_id.encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big") % num_shards
 
 
 class TestRoutingDeterminism:
-    def test_same_article_same_shard_across_rebuilds(self, fitted, plan):
-        detector, dataset = fitted
-        rebuilt = ShardPlan.from_detector(detector, 2)
-        for article in dataset.articles.values():
-            assert plan.route(article) == rebuilt.route(article)
+    def test_same_article_same_shard_across_rebuilds(self, tiny_dataset):
+        for article in tiny_dataset.articles.values():
+            assert ShardPlan(2).route(article) == ShardPlan(2).route(article)
 
-    def test_plan_survives_serialization(self, fitted, plan):
-        _, dataset = fitted
-        wire = ShardPlan.from_dict(plan.to_dict())
-        assert wire.creator_shard == plan.creator_shard
-        assert wire.subject_shard == plan.subject_shard
-        assert wire.subject_context == plan.subject_context
-        for article in dataset.articles.values():
-            assert wire.route(article) == plan.route(article)
+    def test_route_ignores_creator_and_subjects(self, tiny_dataset):
+        plan = ShardPlan(3)
+        subjects = sorted(tiny_dataset.subjects)
+        for creator in sorted(tiny_dataset.creators):
+            bare = ArticleRequest("x", "text")
+            grounded = ArticleRequest("x", "other text", creator, subjects[:2])
+            assert plan.route(grounded) == plan.route(bare)
 
-    def test_creator_rule_wins_over_subjects(self, plan):
-        creator = next(iter(plan.creator_shard))
-        shard = plan.creator_shard[creator]
-        # any subject list, even from another shard, cannot override
-        other = [s for s, sh in plan.subject_shard.items() if sh != shard]
-        assert plan.shard_for("x", creator, other[:1]) == shard
+    def test_subject_order_does_not_change_route(self, tiny_dataset):
+        plan = ShardPlan(2)
+        subjects = sorted(tiny_dataset.subjects)[:3]
+        assert plan.route(ArticleRequest("x", "", "", subjects)) \
+            == plan.route(ArticleRequest("x", "", "", subjects[::-1]))
 
-    def test_subject_order_does_not_change_route(self, plan):
-        subjects = list(plan.subject_shard)[:3]
-        assert plan.shard_for("x", "nobody", subjects) \
-            == plan.shard_for("x", "nobody", list(reversed(subjects)))
-
-    def test_unknown_articles_hash_stably(self, plan):
-        routes = {plan.shard_for(f"cold_{i}", "nobody", ["nothing"])
-                  for i in range(64)}
-        assert routes == {0, 1}  # the hash spreads cold traffic over shards
+    def test_unknown_articles_hash_stably(self):
+        plan = ShardPlan(2)
+        routes = {plan.route(ArticleRequest(f"cold_{i}", "")) for i in range(64)}
+        assert routes == {0, 1}  # the hash spreads traffic over shards
         for i in range(8):
-            assert plan.shard_for(f"cold_{i}") == plan.shard_for(f"cold_{i}")
+            assert plan.route(ArticleRequest(f"cold_{i}", "")) \
+                == _sha1_route(f"cold_{i}", 2)
 
     def test_single_shard_plan_routes_everything_to_zero(self):
-        single = ShardPlan.single()
-        assert single.shard_for("anything", "anyone", ["any"]) == 0
+        single = ShardPlan(1)
+        assert single.route(ArticleRequest("anything", "", "anyone", ["any"])) == 0
 
+    def test_invalid_num_shards_rejected(self):
+        for num_shards in (0, -1):
+            with pytest.raises(ValueError):
+                ShardPlan(num_shards)
 
-class TestContextLocality:
-    def test_training_articles_context_is_shard_local(self, fitted, plan):
-        """The shard an article routes to holds its whole diffusion context.
-
-        This is the property that makes shard-local GDU state lossless for
-        corpus-grounded traffic, in both the community split and the
-        creator-split (replicated subjects) fallback.
-        """
-        _, dataset = fitted
-        contexts = [plan.context_ids(s) for s in range(plan.num_shards)]
-        for article in dataset.articles.values():
-            shard = plan.route(article)
-            context = contexts[shard]
-            if article.creator_id in plan.creator_shard:
-                assert article.creator_id in context["creator"], article
-                for subject in article.subject_ids:
-                    if subject in plan.subject_shard:
-                        assert subject in context["subject"], article
-
-    def test_context_ids_cover_the_graph(self, fitted, plan):
-        detector, _ = fitted
-        ctx = [plan.context_ids(s) for s in range(plan.num_shards)]
-        # creators are a true partition; subject state may be replicated
-        assert ctx[0]["creator"].isdisjoint(ctx[1]["creator"])
-        assert ctx[0]["creator"] | ctx[1]["creator"] \
-            == set(detector.features.creators.ids)
-        assert ctx[0]["subject"] | ctx[1]["subject"] \
-            == set(detector.features.subjects.ids)
-
-    def test_both_shards_carry_weight(self, plan):
-        """The one-component corpus still splits (creator-level fallback)."""
-        assert all(w > 0 for w in plan.shard_weights)
-
-    def test_subject_home_is_in_its_context(self, plan):
-        for subject, home in plan.subject_shard.items():
-            assert home in plan.subject_context[subject]
-
-    def test_context_ids_bounds_checked(self, plan):
-        with pytest.raises(ValueError):
-            plan.context_ids(2)
-
-    def test_shard_weights_cover_all_articles(self, fitted, plan):
-        _, dataset = fitted
-        assert sum(plan.shard_weights) == len(dataset.articles)
-
-    def test_unfitted_detector_rejected(self):
-        with pytest.raises(RuntimeError):
-            ShardPlan.from_detector(FakeDetector(), 2)
-
-    def test_invalid_num_shards_rejected(self, fitted):
-        detector, _ = fitted
-        with pytest.raises(ValueError):
-            ShardPlan.from_detector(detector, 0)
+    @given(st.text(max_size=40), st.integers(1, 64))
+    @settings(max_examples=200, deadline=None)
+    def test_route_is_the_sha1_rule_in_range(self, article_id, num_shards):
+        shard = ShardPlan(num_shards).route(ArticleRequest(article_id, ""))
+        assert 0 <= shard < num_shards
+        assert shard == _sha1_route(article_id, num_shards)

@@ -91,12 +91,7 @@ class TestTransformRows:
         assert batch.shape == (len(documents), len(WORDS))
         rows = [ext.transform_one(doc) for doc in documents]
         for row, one in zip(batch, rows):
-            if normalize:
-                # The batch norm sums each row's squares in column order;
-                # transform_one takes np.linalg.norm of the dense row.
-                np.testing.assert_allclose(row, one, rtol=1e-12, atol=0)
-            else:
-                np.testing.assert_array_equal(row, one)
+            assert row.tobytes() == one.tobytes()
 
 
 class TestEncodeBatch:

@@ -167,7 +167,7 @@ class TestCsrTransform:
         ).fit_idf(self.DOCS)
         batch = ext.transform(self.DOCS)
         rows = np.stack([ext.transform_one(d) for d in self.DOCS])
-        np.testing.assert_allclose(batch, rows, rtol=1e-15, atol=0)
+        assert batch.tobytes() == rows.tobytes()
         norms = np.linalg.norm(batch, axis=1)
         np.testing.assert_allclose(norms[[0, 2, 3]], 1.0)
         assert norms[1] == 0.0  # empty doc stays all-zero

@@ -125,12 +125,14 @@ def test_serve_scale(bench_dataset, bench_split, tmp_path_factory):
     payloads = _payloads(bench_dataset, ShardPlan(2))
 
     sweeps = {}
+    workers = {}
     overload = None
     for shards in (1, 2):
         service = PredictionService(
             checkpoint, workers=shards, shards=shards,
             max_wait=0.001, max_queue_depth=64, feature_cache_size=0,
         )
+        workers[f"{shards}shard"] = service.num_workers
         with service:
             sweeps[shards] = sweep_concurrency(
                 service.url + "/v1/predict", payloads,
@@ -151,8 +153,8 @@ def test_serve_scale(bench_dataset, bench_split, tmp_path_factory):
         "articles_per_request": ARTICLES_PER_REQUEST,
         "cpu_cores": cores,
         "scaling_expected": cores >= SCALING_CORES,
-        "workers": {"1shard": 1, "2shard": 2},
-        "note": "the pools differ in worker count (1 against 2) and every "
+        "workers": workers,
+        "note": "the pools differ in worker count (see workers) and every "
                 "worker serves the full graph, so speedup_2shard measures "
                 "model replicas, not shard fan-out",
         "sweep_1shard": sweeps[1],

@@ -154,13 +154,9 @@ class InferenceSession:
                 miss_idx.append(i)
                 miss_tokens.append(tokenize(text))
         if miss_idx:
-            if len(miss_tokens) == 1:
-                # Single-request misses skip CSR assembly: one dict-lookup
-                # count pass gives the CSR row's bytes.
-                explicit = self._extractor.transform_one(miss_tokens[0])[None]
-            else:
-                explicit = self._extractor.transform(miss_tokens)
-            explicit = explicit.astype(self._dtype, copy=False)
+            explicit = self._extractor.transform(miss_tokens).astype(
+                self._dtype, copy=False
+            )
             sequences = encode_batch(
                 miss_tokens, self._vocab, self.config.max_seq_len
             )

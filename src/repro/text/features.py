@@ -181,30 +181,9 @@ class BagOfWordsExtractor:
     def transform_one(self, tokens: Sequence[str]) -> np.ndarray:
         """Featurize one token list into a (weighted) count vector (d,).
 
-        The bytes equal the matching :meth:`transform` row: the L2 norm is
-        :meth:`CsrMatrix.normalize_rows`'s arithmetic, a ``bincount`` sum
-        of the non-zero squares in column order, then a multiply by the
-        reciprocal.
+        The :meth:`transform` row of ``[tokens]``.
         """
-        vec = np.zeros(self.dim, dtype=np.float64)
-        for tok in tokens:
-            idx = self._word_to_index.get(tok)
-            if idx is not None:
-                vec[idx] += 1.0
-        if self.weighting == "tfidf":
-            if self.idf is None:
-                raise RuntimeError("call fit_idf() before tfidf transforms")
-            vec *= self.idf
-        if self.normalize:
-            nonzero = vec[vec != 0]
-            sq = np.bincount(
-                np.zeros(nonzero.size, dtype=np.intp),
-                weights=nonzero * nonzero, minlength=1,
-            )
-            norm = np.sqrt(sq[0])
-            if norm > 0:
-                vec *= 1.0 / norm
-        return vec
+        return self.transform_csr([tokens]).to_dense()[0]
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict:
@@ -237,8 +216,7 @@ class BagOfWordsExtractor:
 
         The sparse path the pipeline and the serving session use: one CSR
         construction pass, then tf-idf scaling and L2 normalization as
-        vectorized operations over the non-zeros only. Each row has the
-        bytes of :meth:`transform_one` on that document.
+        vectorized operations over the non-zeros only.
         """
         csr = csr_from_token_docs(documents, self._word_to_index, self.dim)
         if self.weighting == "tfidf":

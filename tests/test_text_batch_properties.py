@@ -4,7 +4,8 @@ The batch featurizers build a whole request (or corpus) at once; each is
 pinned here to the per-document construction it replaced:
 
 - ``csr_from_token_docs`` ≡ one ``np.unique`` per document, array for array;
-- ``BagOfWordsExtractor.transform`` (CSR-built) rows ≡ ``transform_one``;
+- ``BagOfWordsExtractor.transform`` (CSR-built) rows ≡ ``transform_one``,
+  so a document's row does not depend on the rest of its batch;
 - ``encode_batch`` ≡ truncating one document at a time, in both modes.
 """
 

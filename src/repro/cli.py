@@ -17,8 +17,7 @@ infer      one-shot inductive scoring from a saved detector checkpoint
 serve      ``serve http`` runs the multi-process sharded service
            (POST /v1/predict + /v1/healthz + /metrics; --workers/--shards
            size the pool, --slo-* budgets drive /v1/healthz)
-obs        observability utilities: ``obs report`` renders a trace
-           (including drift breach/recover summaries when present),
+obs        observability utilities: ``obs report`` renders a trace,
            ``obs trace`` renders one merged distributed request timeline
            from a ``--trace-dir`` store, ``obs diff`` regression-gates
            two run records, ``obs runs`` lists the registry
@@ -356,12 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
                                    "`repro obs trace`)")
     p_serve_http.add_argument("--drift-baseline", default=None,
                               metavar="auto|PATH",
-                              help="arm per-worker drift monitors: 'auto' "
-                                   "uses the checkpoint's "
-                                   "drift_baseline.json, or give an explicit "
-                                   "profile path")
-    p_serve_http.add_argument("--drift-threshold", type=float, default=0.25,
-                              help="PSI level that flags a drift breach")
+                              help="measure per-worker drift: 'auto' uses "
+                                   "the checkpoint's drift_baseline.json, or "
+                                   "give an explicit profile path; arms the "
+                                   "--slo-drift-psi rule")
     p_serve_http.add_argument("--duration", type=float, default=None,
                               help="serve for this many seconds then exit "
                                    "(default: until interrupted)")
@@ -372,20 +369,15 @@ def build_parser() -> argparse.ArgumentParser:
                               help="seconds between --export flushes")
     p_serve_http.add_argument("--export-format", default="prometheus",
                               choices=("prometheus", "json"))
-    p_serve_http.add_argument("--profile-hz", type=float, default=None,
-                              help="continuous profiling: run a sampling "
-                                   "profiler at this rate in every process; "
-                                   "GET /debug/profile?seconds=N returns the "
-                                   "merged per-shard capture (works unarmed "
-                                   "too, via temporary samplers)")
     p_serve_http.add_argument("--slo-p95-ms", type=float, default=None,
                               help="SLO: rolling p95 per-request latency "
                                    "budget in milliseconds")
     p_serve_http.add_argument("--slo-error-rate", type=float, default=None,
                               help="SLO: rolling error-rate budget (0..1)")
-    p_serve_http.add_argument("--slo-drift-psi", type=float, default=None,
-                              help="SLO: rolling mean class-distribution PSI "
-                                   "budget (needs a drift baseline)")
+    p_serve_http.add_argument("--slo-drift-psi", type=float, default=0.25,
+                              help="SLO: rolling mean drift PSI budget, the "
+                                   "worse of class and confidence PSI "
+                                   "(applies with --drift-baseline)")
     p_serve_http.add_argument("--slo-window", type=float, default=60.0,
                               help="rolling SLO window in seconds")
     p_serve_http.set_defaults(func=cmd_serve_http)
@@ -830,8 +822,9 @@ def cmd_serve_http(args) -> int:
     ``response/1``; ``GET /v1/healthz`` reports pool + SLO state (503 when
     degraded); ``GET /metrics`` serves the Prometheus registry;
     ``GET /debug/profile?seconds=N`` captures a merged per-shard sampling
-    profile (continuous when ``--profile-hz`` is set, on-demand otherwise).
-    ``--export`` additionally flushes the registry to a file on an
+    profile over that window. With ``--drift-baseline`` the SLO monitor's
+    ``drift_psi`` rule (``--slo-drift-psi``, default 0.25) is the drift
+    verdict. ``--export`` additionally flushes the registry to a file on an
     interval (the PR 4 :class:`repro.obs.PeriodicExporter`).
     """
     import time as time_mod
@@ -852,15 +845,13 @@ def cmd_serve_http(args) -> int:
         feature_cache_size=args.cache_size,
         trace_dir=args.trace_dir,
         drift_baseline=args.drift_baseline,
-        drift_threshold=args.drift_threshold,
-        profile_hz=args.profile_hz,
     )
     rules = default_serving_rules(
         p95_latency_s=(
             args.slo_p95_ms / 1e3 if args.slo_p95_ms is not None else None
         ),
         error_rate=args.slo_error_rate,
-        drift_psi=args.slo_drift_psi,
+        drift_psi=args.slo_drift_psi if service.drift_baseline else None,
         window_seconds=args.slo_window,
     )
     monitor = None

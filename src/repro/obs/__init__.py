@@ -13,9 +13,9 @@ Building blocks shared by training, serving and the autograd engine:
 - :mod:`repro.obs.context` — the request-scoped :class:`TraceContext`
   carried via ``contextvars`` and W3C-style ``traceparent`` headers so
   worker spans parent under the front-end request span.
-- :mod:`repro.obs.drift` — :class:`DriftMonitor` compares a serving-time
+- :mod:`repro.obs.drift` — :class:`DriftMonitor` measures a serving-time
   rolling window against the checkpoint's :class:`BaselineProfile` with
-  PSI/KL and flips ``/v1/healthz`` degraded on sustained drift.
+  PSI/KL; the SLO monitor's ``drift_psi`` rule judges it.
 - :mod:`repro.obs.metrics` — named counters/gauges/histograms in a
   :class:`MetricsRegistry`; :class:`repro.serve.ServingMetrics` is a facade
   over it.
@@ -117,7 +117,6 @@ from .report import (
     REPORT_SCHEMA,
     TRACE_RENDER_SCHEMA,
     aggregate_spans,
-    render_drift,
     render_spans,
     render_timeline,
     render_trace_file,
@@ -260,7 +259,6 @@ __all__ = [
     "REPORT_SCHEMA",
     "TRACE_RENDER_SCHEMA",
     "aggregate_spans",
-    "render_drift",
     "render_spans",
     "render_timeline",
     "render_trace_file",

@@ -19,12 +19,12 @@ Three profile axes: predicted class distribution, max-softmax confidence
 histogram (10 equal bins over [0, 1]), and per-feature Bernoulli
 activation rates of the explicit BoW vector (summarized as the mean
 per-feature PSI). A :class:`DriftMonitor` windows per-batch aggregates —
-counts, not raw rows — so memory stays O(batches), and emits
-edge-triggered ``obs.drift.breach`` / ``obs.drift.recover`` events exactly
-like :class:`repro.obs.slo.SloMonitor` does for latency. In ``repro serve
-http`` each worker runs one and ships :meth:`DriftMonitor.summary` with
-every result, and the front end exports the per-shard ``drift_*`` gauges
-and feeds the class PSI to its SLO monitor.
+counts, not raw rows — so memory stays O(batches). It measures and never
+judges: in ``repro serve http`` each worker runs one and ships
+:meth:`DriftMonitor.summary` with every result, and the front end exports
+the per-shard ``drift_*`` gauges and feeds the worse of the class and
+confidence PSI to its SLO monitor, whose ``drift_psi`` rule is the one
+drift verdict (:data:`repro.obs.slo.DRIFT_SIGNAL`).
 """
 
 from __future__ import annotations
@@ -37,9 +37,6 @@ from pathlib import Path
 from typing import Deque, Dict, List, Optional, Tuple, Union
 
 import numpy as np
-
-from .events import get_logger
-from .tracing import get_tracer
 
 PathLike = Union[str, Path]
 
@@ -219,20 +216,16 @@ class DriftMonitor:
     The window holds per-batch *aggregates* (class counts, confidence
     histogram counts, feature activation counts) and evicts whole batches
     once retained samples exceed ``window`` — raw feature rows never
-    accumulate. ``breach`` is declared when the class-distribution PSI or
-    the confidence PSI exceeds ``threshold`` with at least ``min_samples``
-    observations in the window; transitions emit one edge-triggered event
-    each way and, when a tracer is streaming, a ``{"type": "drift"}``
-    record so ``repro obs report`` can summarize them post-hoc.
+    accumulate. The divergences are computed once the window holds
+    ``min_samples`` predictions; below that they read ``None``. The
+    monitor only measures: deciding whether a divergence is a breach is
+    the SLO monitor's ``drift_psi`` rule.
 
     Parameters
     ----------
     baseline: the reference profile.
     window: max prediction samples retained (by whole batches).
-    threshold: PSI breach level (0.25 ≈ "significant shift").
-    min_samples: observations required before any verdict.
-    logger: event logger; defaults to ``get_logger("obs.drift")``.
-    shard: shard index for event attribution.
+    min_samples: observations required before any divergence is reported.
     """
 
     def __init__(
@@ -240,23 +233,16 @@ class DriftMonitor:
         baseline: BaselineProfile,
         *,
         window: int = 1024,
-        threshold: float = 0.25,
         min_samples: int = 50,
-        logger=None,
-        shard: Optional[int] = None,
     ):
         if window < 1:
             raise ValueError("window must be >= 1")
         self.baseline = baseline
         self.window = window
-        self.threshold = threshold
         self.min_samples = min_samples
-        self.shard = shard
-        self._logger = logger if logger is not None else get_logger("obs.drift")
         self._lock = threading.Lock()
         self._batches: Deque[Tuple[int, np.ndarray, np.ndarray, np.ndarray]] = deque()
         self._samples = 0
-        self._breached = False
         # Running window totals, updated on append/evict so evaluation is
         # O(bins) per batch instead of re-summing the whole deque.
         self._class_totals = np.zeros(baseline.num_classes)
@@ -299,16 +285,14 @@ class DriftMonitor:
             )
 
     def evaluate(self) -> Dict:
-        """Compute divergences and fire edge events."""
+        """Compute the window's divergences against the baseline."""
         n, class_counts, conf_counts, act_counts = self._window_totals()
         summary: Dict = {
             "samples": n,
-            "threshold": self.threshold,
             "class_psi": None,
             "confidence_psi": None,
             "feature_psi": None,
             "class_kl": None,
-            "breached": False,
         }
         if n >= self.min_samples:
             # One normalization serves both class divergences.
@@ -323,45 +307,12 @@ class DriftMonitor:
             summary["feature_psi"] = bernoulli_psi(
                 self.baseline.feature_rates, act_counts / n
             )
-            summary["breached"] = (
-                summary["class_psi"] > self.threshold
-                or summary["confidence_psi"] > self.threshold
-            )
-        self._transition(summary)
         self._last_summary = summary
         return summary
 
-    def _transition(self, summary: Dict) -> None:
-        breached = bool(summary["breached"])
-        if breached == self._breached:
-            return
-        self._breached = breached
-        detail = {
-            k: summary[k]
-            for k in ("class_psi", "confidence_psi", "feature_psi", "samples")
-        }
-        if self.shard is not None:
-            detail["shard"] = self.shard
-        if breached:
-            self._logger.warning("breach", threshold=self.threshold, **detail)
-        else:
-            self._logger.info("recover", threshold=self.threshold, **detail)
-        tracer = get_tracer()
-        if tracer is not None:
-            tracer.write({
-                "type": "drift",
-                "event": "breach" if breached else "recover",
-                "threshold": self.threshold,
-                **detail,
-            })
-
     # -- reporting -----------------------------------------------------
-    @property
-    def breached(self) -> bool:
-        return self._breached
-
     def summary(self) -> Dict:
-        """Current window verdict — the dict workers ship to the parent.
+        """Current window divergences — the dict workers ship to the parent.
 
         Returns the cached result of the last :meth:`evaluate` (every
         ``observe_batch`` evaluates), so the per-result hot path pays one
@@ -370,10 +321,3 @@ class DriftMonitor:
         if self._last_summary is None:
             return self.evaluate()
         return self._last_summary
-
-    def health(self) -> Dict:
-        summary = self.evaluate()
-        return {
-            "status": "degraded" if summary["breached"] else "ok",
-            "drift": summary,
-        }

@@ -228,27 +228,6 @@ class Profile:
             for frame, count in self.self_counts().items()
         }
 
-    def subtract(self, earlier: "Profile") -> "Profile":
-        """The activity between an ``earlier`` snapshot and this one.
-
-        Counts clamp at zero, so a window capture over a continuously
-        running profiler never reports phantom negative stacks.
-        """
-        stacks = {}
-        for stack, count in self.stacks.items():
-            delta = count - earlier.stacks.get(stack, 0)
-            if delta > 0:
-                stacks[stack] = delta
-        samples = max(0, self.samples - earlier.samples)
-        duration = max(0.0, self.duration_s - earlier.duration_s)
-        return Profile(
-            stacks=stacks,
-            samples=samples,
-            duration_s=duration,
-            interval_s=(duration / samples) if samples else self.interval_s,
-            meta=dict(self.meta),
-        )
-
     def prefixed(self, root: str) -> "Profile":
         """A copy with every stack re-rooted under ``root`` (merge helper)."""
         return dataclasses.replace(
@@ -301,12 +280,10 @@ class SamplingProfiler:
     max_depth:
         Frames kept per stack, nearest the leaf; deeper ancestry collapses
         into a ``…`` frame so pathological recursion cannot bloat keys.
-    tag_context:
-        Weave span names and active autograd ops into the folded stacks
-        (installs the tracer's span observer and itself as an op observer
-        while running).
 
-    One profiler may run per process at a time (the span observer is
+    While running, the profiler weaves span names and active autograd ops
+    into the folded stacks: it installs the tracer's span observer and
+    itself as an op observer. One profiler may run per process at a time (the span observer is
     process-global). The profiler is fork-safe: see the module docstring.
     """
 
@@ -315,13 +292,11 @@ class SamplingProfiler:
         interval: float = 1.0 / DEFAULT_HZ,
         *,
         max_depth: int = 64,
-        tag_context: bool = True,
     ):
         if interval <= 0:
             raise ValueError("sampling interval must be positive")
         self.interval = float(interval)
         self.max_depth = int(max_depth)
-        self.tag_context = tag_context
         self._counts: Dict[str, int] = {}
         self._samples = 0
         self._active_before = 0.0
@@ -373,9 +348,8 @@ class SamplingProfiler:
         self._pid = os.getpid()
         self._started_at = time()
         self._stop.clear()
-        if self.tag_context:
-            self._prev_span_observer = set_span_observer((push_tag, pop_tag))
-            add_op_observer(self)
+        self._prev_span_observer = set_span_observer((push_tag, pop_tag))
+        add_op_observer(self)
         self._thread = threading.Thread(
             target=self._run, daemon=True, name="repro-flame-sampler"
         )
@@ -391,7 +365,7 @@ class SamplingProfiler:
             if self._started_at:
                 self._active_before += time() - self._started_at
                 self._started_at = 0.0
-        if self.tag_context and self._pid is not None:
+        if self._pid is not None:
             set_span_observer(self._prev_span_observer)
             remove_op_observer(self)
             self._prev_span_observer = None

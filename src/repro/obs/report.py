@@ -7,8 +7,6 @@ records distinguished by ``type``:
   because spans are streamed at close time.
 - ``profile`` — an op-profiler dump (:meth:`OpProfiler.to_dict`).
 - ``event`` — a structured log record sharing the file.
-- ``drift`` — a drift breach/recover transition from
-  :class:`repro.obs.drift.DriftMonitor`.
 - ``trace_start`` — wall-clock anchor written when the tracer opens.
 
 :func:`render_trace_file` is what ``repro obs report`` prints;
@@ -116,7 +114,6 @@ def report_to_dict(path: Union[str, Path]) -> Dict[str, Any]:
     profiles = [r for r in records if r.get("type") == "profile"]
     memories = [r for r in records if r.get("type") == "memory"]
     events = [r for r in records if r.get("type") == "event"]
-    drifts = [r for r in records if r.get("type") == "drift"]
     return {
         "schema": REPORT_SCHEMA,
         "trace": str(path),
@@ -125,7 +122,6 @@ def report_to_dict(path: Union[str, Path]) -> Dict[str, Any]:
             "profiles": len(profiles),
             "memory_profiles": len(memories),
             "events": len(events),
-            "drift_transitions": len(drifts),
         },
         "spans": [
             {
@@ -139,7 +135,6 @@ def report_to_dict(path: Union[str, Path]) -> Dict[str, Any]:
         "profiles": profiles,
         "memory_profiles": memories,
         "events": events,
-        "drift": drifts,
     }
 
 
@@ -150,13 +145,11 @@ def render_trace_file(path: Union[str, Path]) -> str:
     profiles = [r for r in records if r.get("type") == "profile"]
     memories = [r for r in records if r.get("type") == "memory"]
     events = [r for r in records if r.get("type") == "event"]
-    drifts = [r for r in records if r.get("type") == "drift"]
 
     sections = [f"trace report: {path}"]
     sections.append(
         f"records: {len(spans)} spans, {len(profiles)} profiles, "
-        f"{len(memories)} memory profiles, {len(events)} events, "
-        f"{len(drifts)} drift transitions"
+        f"{len(memories)} memory profiles, {len(events)} events"
     )
     sections.append("")
     sections.append(render_spans(spans))
@@ -166,9 +159,6 @@ def render_trace_file(path: Union[str, Path]) -> str:
     for memory in memories:
         sections.append("")
         sections.append(render_memory(memory))
-    if drifts:
-        sections.append("")
-        sections.append(render_drift(drifts))
     if events:
         sections.append("")
         sections.append("events:")
@@ -178,31 +168,6 @@ def render_trace_file(path: Union[str, Path]) -> str:
             )
             sections.append(f"  {event.get('level', '?'):<7s} {event['name']}  {fields}")
     return "\n".join(sections)
-
-
-def render_drift(drifts: List[Dict[str, Any]]) -> str:
-    """Summarize drift breach/recover transitions embedded in a trace."""
-    if not drifts:
-        return "drift: (no transitions)"
-    breaches = sum(1 for d in drifts if d.get("event") == "breach")
-    lines = [
-        f"drift transitions: {breaches} breach(es), "
-        f"{len(drifts) - breaches} recover(ies)",
-    ]
-    for record in drifts:
-        shard = record.get("shard")
-        where = f" shard={shard}" if shard is not None else ""
-        metrics = " ".join(
-            f"{key}={record[key]:.4f}"
-            for key in ("class_psi", "confidence_psi", "feature_psi")
-            if isinstance(record.get(key), (int, float))
-        )
-        lines.append(
-            f"  {record.get('event', '?'):<8s}{where} {metrics} "
-            f"(threshold={record.get('threshold')}, "
-            f"samples={record.get('samples')})"
-        )
-    return "\n".join(lines)
 
 
 TRACE_RENDER_SCHEMA = "repro.obs.trace_render/1"

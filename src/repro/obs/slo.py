@@ -6,7 +6,9 @@ that reacts while the process runs, not a post-mortem snapshot. An
 "aggregate of a signal over a rolling time window, compared to a
 threshold" — and is fed observations by
 :class:`repro.serve.PredictionService`: each request's latency, its
-success or error, the in-flight depth, and each shard's drift class PSI.
+success or error, and each worker's drift PSI. Its ``drift_psi`` rule is
+the service's one drift verdict: :class:`repro.obs.DriftMonitor` only
+measures.
 
 Breaches are *edge-triggered* structured events: the monitor emits one
 ``obs.slo.breach`` warning when a rule crosses into violation and one
@@ -34,8 +36,9 @@ from .metrics import MetricsRegistry, percentile
 #: Aggregates a rule may apply over its window.
 AGGREGATES = ("p50", "p95", "p99", "mean", "max", "last", "error_rate")
 
-#: Signal carrying each drift summary's class PSI (the ``drift_psi`` rule).
-DRIFT_SIGNAL = "drift_class_psi"
+#: Signal carrying the worse of each drift summary's class and confidence
+#: PSI (the ``drift_psi`` rule).
+DRIFT_SIGNAL = "drift_psi"
 
 
 @dataclasses.dataclass(frozen=True)

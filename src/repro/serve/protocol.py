@@ -32,16 +32,9 @@ not speak:
 
 Decoding raises :class:`ProtocolError` with the matching error ``code``;
 :func:`error_body` turns one into the error document. Unknown schema
-versions are rejected, never guessed at.
-
-Besides the HTTP documents, the parent↔worker queues carry a small
-control plane (:data:`PROFILE_CONTROL`): the profiler messages
-``("profile_start", hz)`` / ``("profile_snapshot", req_id)`` /
-``("profile_stop",)`` ride the per-worker request queues, and snapshots
-come back as ``("profile_result", worker_id, req_id, payload)`` where
-``payload`` is a ``repro.obs.profile/1`` document (or ``None`` when the
-worker has no armed profiler). Control messages serialize FIFO behind
-in-flight predict batches and never count against the admission budget.
+versions are rejected, never guessed at. The parent↔worker queue
+messages, profiler control included, are listed in
+:mod:`repro.serve.worker`.
 """
 
 from __future__ import annotations
@@ -60,11 +53,6 @@ ERROR_SCHEMA = "repro.serve.error/1"
 #: Minor revision of the response document within schema version 1.
 #: Revision 2 added the additive ``meta`` block (request_id / trace_id).
 RESPONSE_REVISION = 2
-
-#: Profiler control-plane message kinds on the parent↔worker queues (see
-#: the module docstring); workers treat any non-``predict`` kind as
-#: control and never batch it.
-PROFILE_CONTROL = ("profile_start", "profile_snapshot", "profile_stop")
 
 
 class ProtocolError(ValueError):

@@ -32,12 +32,12 @@ Observability is the PR 4 stack wired in directly: the service registry
 feeds ``GET /metrics`` (Prometheus text format) and an optional
 :class:`repro.obs.PeriodicExporter`; an optional
 :class:`repro.obs.SloMonitor` sees every request's latency and success/error
-flag, and its breaches flip
-``GET /v1/healthz`` to 503 — the load-balancer eject signal. With
-``profile_hz`` set, every process (front-end and workers) also runs a
-continuous :class:`repro.obs.SamplingProfiler`; ``GET
-/debug/profile?seconds=N`` windows the counters into one merged
-per-shard flamegraph (see :meth:`PredictionService.capture_profile`).
+flag (and, with drift armed, each worker's drift PSI), and its breaches
+flip ``GET /v1/healthz`` to 503 — the load-balancer eject signal. ``GET
+/debug/profile?seconds=N`` runs a :class:`repro.obs.SamplingProfiler` in
+every process (front-end and workers) for just that window and returns
+one merged per-shard flamegraph (see
+:meth:`PredictionService.capture_profile`).
 """
 
 from __future__ import annotations
@@ -163,8 +163,12 @@ class PredictionService:
         Per-worker LRU text-feature cache entries.
     slo:
         Optional :class:`repro.obs.SloMonitor`; fed latency/error
-        signals (and, when drift monitoring is on, the per-shard class
-        PSI as :data:`repro.obs.slo.DRIFT_SIGNAL`), drives ``/v1/healthz``.
+        signals (and, when drift monitoring is on, the worse of each
+        summary's class and confidence PSI as
+        :data:`repro.obs.slo.DRIFT_SIGNAL`), drives ``/v1/healthz``. It
+        is the one place a drift breach is decided: arm it with
+        ``SloMonitor(default_serving_rules(drift_psi=...))``, as
+        ``repro serve http --drift-baseline`` does at PSI 0.25.
     trace_dir:
         Optional directory for distributed request traces. When set, every
         ``predict`` call opens a ``serve.request`` root span, propagates a
@@ -172,20 +176,11 @@ class PredictionService:
         :class:`repro.obs.TraceStore` merges front-end + worker spans into
         one ``<trace_id>.jsonl`` file (schema ``repro.obs.trace/1``).
     drift_baseline:
-        Optional path to a ``repro.obs.drift_baseline/1`` JSON profile.
-        Each worker arms a :class:`repro.obs.DriftMonitor` against it and
-        ships window summaries back with every result; sustained breach on
-        any shard degrades ``/v1/healthz``.
-    drift_threshold / drift_min_samples:
-        Worker-side :class:`repro.obs.DriftMonitor` knobs.
-    profile_hz:
-        When set, continuous profiling: every worker runs a
-        :class:`repro.obs.SamplingProfiler` at this rate from warm-up on,
-        and the front-end runs one (started post-fork) covering routing,
-        admission and HTTP threads. :meth:`capture_profile` (and the
-        ``GET /debug/profile?seconds=N`` endpoint) then windows the
-        continuous counters; when unset, captures arm temporary samplers
-        for just the requested window.
+        Optional path to a ``repro.obs.drift_baseline/1`` JSON profile
+        (``"auto"``: the checkpoint's own, when it shipped one). Each
+        worker measures a :class:`repro.obs.DriftMonitor` window against
+        it and ships the summary back with every result; ``/v1/healthz``
+        reports the latest one per shard under ``drift``.
     """
 
     def __init__(
@@ -205,9 +200,6 @@ class PredictionService:
         slo=None,
         trace_dir=None,
         drift_baseline=None,
-        drift_threshold: float = 0.25,
-        drift_min_samples: int = 50,
-        profile_hz: Optional[float] = None,
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -230,7 +222,6 @@ class PredictionService:
         self.slo = slo
         self._host_arg, self._port_arg = host, port
         self._log = get_logger("serve.service")
-        self._drift_log = get_logger("obs.drift")
 
         self.trace_store: Optional[TraceStore] = None
         self._tracer: Optional[Tracer] = None
@@ -247,11 +238,8 @@ class PredictionService:
             candidate = Path(self.checkpoint) / DRIFT_BASELINE_FILE
             drift_baseline = candidate if candidate.exists() else None
         self.drift_baseline = str(drift_baseline) if drift_baseline else None
-        self.drift_threshold = drift_threshold
-        self.drift_min_samples = drift_min_samples
         #: latest drift window summary per shard (collector-maintained)
         self._drift_status: Dict[int, Dict] = {}
-        self._drift_breached: Dict[int, bool] = {}
 
         self.metrics = ServingMetrics()
         registry = self.metrics.registry
@@ -259,6 +247,8 @@ class PredictionService:
         self._http_rejected = registry.counter("serve.http_rejected")
         self._http_errors = registry.counter("serve.http_errors")
         self._inflight_gauge = registry.gauge("serve.inflight")
+        self._cache_hits = registry.counter("serve.cache_hits")
+        self._cache_misses = registry.counter("serve.cache_misses")
 
         self.plan = ShardPlan(shards)
         self.model_digest = checkpoint_digest(self.checkpoint)
@@ -272,11 +262,6 @@ class PredictionService:
         # this lock is never held at fork time and children never touch it.
         self._lock = threading.Lock()  # repro: noqa[RA202] created pre-fork, never held across spawn_worker(); children run worker_main from scratch
         self._req_ids = itertools.count(1)
-        self.profile_hz = profile_hz
-        # The front-end profiler is created in start() *after* the workers
-        # fork: it owns a lock and a sampler thread, neither of which may
-        # be reachable at fork time (RA202), and children build their own.
-        self._profiler: Optional[SamplingProfiler] = None
         self._profile_pending: Dict[int, _ProfilePending] = {}
         self._ready = threading.Event()
         self._ready_count = 0
@@ -318,9 +303,6 @@ class PredictionService:
                 max_wait=self.max_wait,
                 feature_cache_size=self.feature_cache_size,
                 drift_baseline=self.drift_baseline,
-                drift_threshold=self.drift_threshold,
-                drift_min_samples=self.drift_min_samples,
-                profile_hz=self.profile_hz,
                 blas_limit=blas_limit,
             )
             self._workers.append(handle)
@@ -330,10 +312,6 @@ class PredictionService:
         )
         self._collector.start()
         self._wait_ready()
-        if self.profile_hz:
-            self._profiler = SamplingProfiler(
-                interval=1.0 / self.profile_hz
-            ).start()
 
         self._httpd = ThreadingHTTPServer(
             (self._host_arg, self._port_arg), _make_handler(self)
@@ -409,9 +387,6 @@ class PredictionService:
             self._profile_pending.clear()
         for entry in profile_pending:
             entry.event.set()
-        if self._profiler is not None:
-            self._profiler.stop()
-            self._profiler = None
         if self._tracer is not None:
             self._tracer.close()
         if self.trace_store is not None:
@@ -467,6 +442,7 @@ class PredictionService:
                     trace_id = worker_spans[0].get("trace_id")
                     if trace_id:
                         self.trace_store.add_spans(str(trace_id), worker_spans)
+                self._note_cache(by_id[worker_id], stats)
                 drift = stats.get("drift")
                 if drift is not None:
                     self._note_drift(int(stats.get("shard", 0)), drift)
@@ -487,14 +463,27 @@ class PredictionService:
                 call.event.set()
 
     # ------------------------------------------------------------------
-    # Drift aggregation (collector thread)
+    # Worker stats (collector thread)
     # ------------------------------------------------------------------
+    def _note_cache(self, handle: WorkerHandle, stats: Dict) -> None:
+        """Count a worker's feature-cache lookups into ``serve.cache_*``.
+
+        Results carry the worker session's cumulative counts, so every
+        result of one batch repeats the same totals; only the increase
+        since the worker's last result is added.
+        """
+        hits, misses = stats["cache_hits"], stats["cache_misses"]
+        self._cache_hits.inc(hits - handle.cache_hits)
+        self._cache_misses.inc(misses - handle.cache_misses)
+        handle.cache_hits, handle.cache_misses = hits, misses
+
     def _note_drift(self, shard: int, summary: Dict) -> None:
         """Fold one worker's drift window summary into parent-side state.
 
-        Exports per-shard ``drift_*`` gauges, feeds the SLO monitor's
-        :data:`~repro.obs.slo.DRIFT_SIGNAL`, and emits edge-triggered
-        ``obs.drift.breach`` / ``obs.drift.recover`` events per shard.
+        Exports per-shard ``drift_*`` gauges and feeds the SLO monitor's
+        :data:`~repro.obs.slo.DRIFT_SIGNAL` the worse of the class and
+        confidence PSI. Whether that is a breach is the monitor's
+        ``drift_psi`` rule to decide; nothing here judges it.
         """
         with self._lock:
             self._drift_status[shard] = dict(summary)
@@ -507,23 +496,11 @@ class PredictionService:
             float(summary.get("samples", 0))
         )
         if self.slo is not None and summary.get("class_psi") is not None:
-            self.slo.observe(DRIFT_SIGNAL, float(summary["class_psi"]))
+            self.slo.observe(
+                DRIFT_SIGNAL,
+                max(summary["class_psi"], summary["confidence_psi"]),
+            )
             self.slo.evaluate()
-        breached = bool(summary.get("breached"))
-        was = self._drift_breached.get(shard, False)
-        if breached != was:
-            self._drift_breached[shard] = breached
-            detail = {
-                "shard": shard,
-                "class_psi": summary.get("class_psi"),
-                "confidence_psi": summary.get("confidence_psi"),
-                "samples": summary.get("samples"),
-                "threshold": summary.get("threshold"),
-            }
-            if breached:
-                self._drift_log.warning("breach", **detail)
-            else:
-                self._drift_log.info("recover", **detail)
 
     def drift_status(self) -> Dict[int, Dict]:
         """Latest per-shard drift window summaries (empty when unarmed)."""
@@ -563,68 +540,46 @@ class PredictionService:
                 self._profile_pending.pop(req_id, None)
         return results
 
-    def capture_profile(
-        self, seconds: float = 1.0, *, hz: Optional[float] = None
-    ) -> Profile:
+    def capture_profile(self, seconds: float = 1.0) -> Profile:
         """A service-wide profile over a ``seconds`` window, merged by shard.
 
-        With continuous profiling armed (``profile_hz``) the window is the
-        difference of two cumulative snapshots — zero extra sampling cost.
-        Unarmed, temporary samplers run in every process for just the
-        window. Worker stacks root under ``shard<k>;worker<i>`` and the
-        parent's under ``frontend``, so the flamegraph splits by shard at
-        the first level.
+        Samplers run in every process for just the window: the front-end's
+        own, and one per worker, started and stopped by ``profile_start`` /
+        ``profile_stop`` messages on the request queues, so both ends of
+        the window wait behind in-flight batches. Worker stacks root under
+        ``shard<k>;worker<i>`` and the parent's under ``frontend``, so the
+        flamegraph splits by shard at the first level.
         """
         if not self._started:
             raise ServiceUnavailable("service is not running")
         seconds = min(max(float(seconds), 0.05), 60.0)
-        armed = self._profiler is not None
-        temp: Optional[SamplingProfiler] = None
-        rate = hz or self.profile_hz or DEFAULT_HZ
-        if armed:
-            front_before = self._profiler.snapshot()
-            before = self._worker_profiles()
-        else:
-            temp = SamplingProfiler(interval=1.0 / rate).start()
+        with SamplingProfiler() as sampler:
             for handle in self._workers:
                 if handle.alive():
-                    handle.requests.put(("profile_start", rate))
-            before = {}
-        # closing.wait instead of sleep: shutdown aborts the window early
-        # instead of holding close() hostage for the full capture.
-        self._closing.wait(seconds)
-        after = self._worker_profiles()
-        if armed:
-            frontend = self._profiler.snapshot().subtract(front_before)
-        else:
-            frontend = temp.snapshot()
-            temp.stop()
-            for handle in self._workers:
-                if handle.alive():
-                    handle.requests.put(("profile_stop",))
-        parts: Dict[str, Optional[Profile]] = {"frontend": frontend}
-        by_id = {handle.worker_id: handle for handle in self._workers}
-        for worker_id, payload in after.items():
-            if payload is None:
-                continue
-            profile = Profile.from_dict(payload)
-            earlier = before.get(worker_id)
-            if earlier is not None:
-                profile = profile.subtract(Profile.from_dict(earlier))
-            handle = by_id[worker_id]
-            # A ";" in the root label yields two prefix frames, so the
-            # merged stacks read shard<k> → worker<i> → python frames.
-            parts[f"shard{handle.shard};worker{worker_id}"] = profile
+                    handle.requests.put(("profile_start",))
+            # closing.wait instead of sleep: shutdown aborts the window
+            # early instead of holding close() hostage for the full capture.
+            self._closing.wait(seconds)
+            snapshots = self._worker_profiles()
+            parts: Dict[str, Profile] = {"frontend": sampler.snapshot()}
+        for handle in self._workers:
+            if handle.alive():
+                handle.requests.put(("profile_stop",))
+            payload = snapshots[handle.worker_id]
+            if payload is not None:
+                # A ";" in the root label yields two prefix frames, so the
+                # merged stacks read shard<k> → worker<i> → python frames.
+                label = f"shard{handle.shard};worker{handle.worker_id}"
+                parts[label] = Profile.from_dict(payload)
         return merge_profiles(
             parts,
             meta={
                 "kind": "serve",
                 "window_s": seconds,
-                "hz": rate,
+                "hz": DEFAULT_HZ,
                 "workers": self.num_workers,
                 "shards": self.num_shards,
                 "model_digest": self.model_digest,
-                "continuous": armed,
             },
         )
 
@@ -830,15 +785,9 @@ class PredictionService:
                 payload["status"] = "degraded"
         drift = self.drift_status()
         if drift:
-            breached_shards = sorted(
-                shard for shard, s in drift.items() if s.get("breached")
-            )
             payload["drift"] = {
                 "shards": {str(shard): s for shard, s in drift.items()},
-                "breached_shards": breached_shards,
             }
-            if breached_shards:
-                payload["status"] = "degraded"
         if dead or not self._started:
             payload["status"] = "degraded"
             payload["dead_workers"] = dead

@@ -223,16 +223,15 @@ class InferenceSession:
         return out
 
     def _neighbour_states(self, articles: Sequence):
-        """Cached ``(z, t)`` GDU inputs: mean known-subject and creator states.
+        """Cached ``(z, t)`` GDU inputs: pooled known-subject and creator states.
 
-        Unknown or absent neighbours leave a zero row. ``np.add.at`` sums
-        each article's subject rows in listed order and one ``bincount``
-        divides: the arithmetic of a per-article ``mean(axis=0)``, so ``z``
-        is bit-identical to it for states wider than one unit (numpy sums
-        a single column pairwise).
+        The subject states are pooled by the model's own
+        ``agg_article_subjects``, over each article's known subjects in
+        listed order, so a checkpoint trained with attention pooling is
+        served attention-pooled states. Unknown or absent neighbours leave a
+        zero row.
         """
         n = len(articles)
-        hidden = self.detector.model.gdu_article.hidden_dim
         subject_rows = self._subject_rows
         owners, rows = np.array(
             [
@@ -243,13 +242,13 @@ class InferenceSession:
             ],
             dtype=np.intp,
         ).reshape(-1, 2).T
-        dtype = self._dtype
-        z = np.zeros((n, hidden), dtype)
-        np.add.at(z, owners, self._h_subject[rows])
-        z /= np.maximum(np.bincount(owners, minlength=n), 1).astype(dtype)[:, None]
+        with no_tape():
+            z = self.detector.model.agg_article_subjects(
+                Tensor(self._h_subject), rows, owners, n
+            ).data
         creators = [self._creator_rows.get(a.creator_id) for a in articles]
         known = [i for i, row in enumerate(creators) if row is not None]
-        t = np.zeros((n, hidden), dtype)
+        t = np.zeros((n, self._h_creator.shape[1]), self._dtype)
         t[known] = self._h_creator[[creators[i] for i in known]]
         return z, t
 

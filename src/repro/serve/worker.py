@@ -17,7 +17,7 @@ parent → worker:  ``("predict", req_id, [article payload, ...], return_proba,
                   trace)`` — ``trace`` is ``None`` or ``{"trace_id",
                   "parent_id", "enqueued"}`` naming the front-end request
                   span this work belongs to — the profiler control
-                  messages ``("profile_start", hz)``, ``("profile_snapshot",
+                  messages ``("profile_start",)``, ``("profile_snapshot",
                   req_id)``, ``("profile_stop",)`` — or the stop sentinel
                   ``("stop",)``
 worker → parent:  ``("ready", worker_id, model_digest, blas_threads)`` once
@@ -28,14 +28,24 @@ worker → parent:  ``("ready", worker_id, model_digest, blas_threads)`` once
                   a ``("profile_snapshot", req_id)`` is answered with
                   ``("profile_result", worker_id, req_id, profile dict or
                   None)`` carrying the worker's folded-stack aggregate
-                  (schema ``repro.obs.profile/1``)
+                  (schema ``repro.obs.profile/1``; ``None`` while no
+                  sampler runs)
+
+The profiler messages are a small control plane on the same queues:
+``PredictionService.capture_profile`` sends ``profile_start`` (a sampler
+at the default rate), waits its window, asks for a ``profile_snapshot``
+and sends ``profile_stop``. Control messages serialize FIFO behind
+in-flight predict batches, are never batched (:func:`_drain_batch`
+re-enqueues them) and never count against the admission budget.
 
 ``spans`` are finished span dicts (queue wait, batch assembly, GDU
 forward, serialize) parented under the front-end request span; they use
 ``time.time()`` wall-clock stamps because ``perf_counter`` readings are
-not comparable across processes. When a drift monitor is armed (the
-checkpoint shipped a baseline), ``stats["drift"]`` carries the worker's
-current window summary back on every result.
+not comparable across processes. ``stats`` carries the batch's
+``compute_ms``, the worker's ``shard`` and its session's cumulative
+``cache_hits``/``cache_misses``; when a drift monitor is armed (the
+checkpoint shipped a baseline), ``stats["drift"]`` carries its current
+window summary too.
 
 BLAS sizing
 -----------
@@ -148,9 +158,6 @@ def worker_main(
     max_wait: float = 0.002,
     feature_cache_size: int = 2048,
     drift_baseline: Optional[str] = None,
-    drift_threshold: float = 0.25,
-    drift_min_samples: int = 50,
-    profile_hz: Optional[float] = None,
     blas_limit: Optional[int] = None,
 ) -> None:
     """Process entry point: warm a session, then serve until ``("stop",)``.
@@ -160,7 +167,7 @@ def worker_main(
     """
     from ..obs import get_logger
     from ..obs.drift import BaselineProfile, DriftMonitor
-    from ..obs.flame import DEFAULT_HZ, SamplingProfiler, tag
+    from ..obs.flame import SamplingProfiler, tag
     from ..obs.tracing import span_record
     from .checkpoint import checkpoint_digest, load_detector
     from .protocol import encode_prediction
@@ -173,23 +180,16 @@ def worker_main(
     detector = load_detector(checkpoint)
     drift = None
     if drift_baseline is not None:
-        drift = DriftMonitor(
-            BaselineProfile.load(drift_baseline),
-            threshold=drift_threshold,
-            min_samples=drift_min_samples,
-            shard=shard,
-        )
+        drift = DriftMonitor(BaselineProfile.load(drift_baseline))
     session = InferenceSession(
         detector, feature_cache_size=feature_cache_size, drift=drift
     )
     digest = checkpoint_digest(checkpoint)
     # The profiler stays a local (never module state — RA203): it is born
     # after fork in this process, so its sampler thread and counts are
-    # this worker's alone. Started post-warmup so checkpoint load and
-    # session warming don't dominate the serving profile.
+    # this worker's alone. It runs only between profile_start and
+    # profile_stop.
     profiler: Optional[SamplingProfiler] = None
-    if profile_hz:
-        profiler = SamplingProfiler(interval=1.0 / profile_hz).start()
     responses.put(("ready", worker_id, digest, blas_threads))
     log.info(
         "warm", worker=worker_id, shard=shard, digest=digest,
@@ -210,10 +210,9 @@ def worker_main(
         if message[0] == "stop":
             break
         if message[0] == "profile_start":
-            hz = message[1] or DEFAULT_HZ
             if profiler is not None:
                 profiler.stop()
-            profiler = SamplingProfiler(interval=1.0 / hz).start()
+            profiler = SamplingProfiler().start()
             continue
         if message[0] == "profile_snapshot":
             payload = None
@@ -257,9 +256,9 @@ def worker_main(
         seconds = time.perf_counter() - start
         stats = {
             "compute_ms": 1e3 * seconds,
-            "batch_size": len(articles),
-            "batch_requests": len(batch),
             "shard": shard,
+            "cache_hits": session.metrics.cache_hits,
+            "cache_misses": session.metrics.cache_misses,
         }
         if drift is not None:
             stats["drift"] = drift.summary()
@@ -322,6 +321,10 @@ class WorkerHandle:
     model_digest: str = ""
     #: effective BLAS threads the worker reported when warm
     blas_threads: Optional[int] = None
+    #: the worker session's cumulative feature-cache counts, as of its
+    #: last result (parent-maintained, see ``PredictionService``)
+    cache_hits: int = 0
+    cache_misses: int = 0
 
     def alive(self) -> bool:
         return self.process.is_alive()
@@ -345,9 +348,6 @@ def spawn_worker(
     max_wait: float = 0.002,
     feature_cache_size: int = 2048,
     drift_baseline: Optional[str] = None,
-    drift_threshold: float = 0.25,
-    drift_min_samples: int = 50,
-    profile_hz: Optional[float] = None,
     blas_limit: Optional[int] = None,
 ) -> WorkerHandle:
     """Start one worker process and return its parent-side handle."""
@@ -360,9 +360,6 @@ def spawn_worker(
             "max_wait": max_wait,
             "feature_cache_size": feature_cache_size,
             "drift_baseline": drift_baseline,
-            "drift_threshold": drift_threshold,
-            "drift_min_samples": drift_min_samples,
-            "profile_hz": profile_hz,
             "blas_limit": blas_limit,
         },
         daemon=True,

@@ -150,6 +150,50 @@ class TestServing:
         assert doc["schema"] == "repro.serve.response/1"
         assert doc["predictions"][0]["entity_id"] == "h1"
 
+    def test_drift_baseline_arms_drift_psi_rule(self, checkpoint, tmp_path,
+                                                monkeypatch):
+        """``--drift-baseline auto`` alone holds drift to PSI 0.25 through
+        the SLO monitor's ``drift_psi`` rule; without a baseline there is
+        no drift rule."""
+        import shutil
+
+        import repro.serve
+        from repro.obs.slo import DRIFT_SIGNAL
+
+        built = []
+
+        class PoolFree(repro.serve.PredictionService):
+            """The CLI's service wiring, with no worker pool behind it."""
+
+            def start(self):
+                self.host, self.port = "127.0.0.1", 0
+                built.append(self)
+                return self
+
+            def close(self):
+                pass
+
+        monkeypatch.setattr(repro.serve, "PredictionService", PoolFree)
+        bare = tmp_path / "bare"
+        shutil.copytree(checkpoint, bare)
+        (bare / "drift_baseline.json").unlink()
+        runs = [
+            [str(checkpoint), "--drift-baseline", "auto"],
+            [str(bare), "--drift-baseline", "auto"],
+            [str(checkpoint)],
+            [str(bare), "--drift-baseline", "auto", "--slo-p95-ms", "250"],
+        ]
+        for extra in runs:
+            assert main(["serve", "http", *extra, "--duration", "0"]) == 0
+        armed, bare_auto, unarmed, latency_only = built
+        (rule,) = armed.slo.rules
+        assert (rule.name, rule.signal, rule.threshold) == (
+            "drift_psi", DRIFT_SIGNAL, 0.25
+        )
+        assert bare_auto.drift_baseline is None and bare_auto.slo is None
+        assert unarmed.slo is None
+        assert [r.name for r in latency_only.slo.rules] == ["latency_p95"]
+
     def test_serve_http_parser_flags(self):
         from repro.cli import build_parser
 
@@ -260,10 +304,6 @@ class TestFlameCli:
         ])
         assert args.flame is True
         assert args.flame_hz == 50.0
-        args = build_parser().parse_args([
-            "serve", "http", "ckpt", "--profile-hz", "100",
-        ])
-        assert args.profile_hz == 100.0
 
 
 class TestTune:

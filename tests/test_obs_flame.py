@@ -249,16 +249,6 @@ class TestProfile:
         assert totals["b"] == 5
         assert totals["c"] == 4
 
-    def test_subtract_clamps_and_rescales(self):
-        later = self._profile({"a;b": 10, "a;c": 2})
-        earlier = self._profile({"a;b": 4, "a;c": 5, "gone": 1})
-        window = later.subtract(earlier)
-        assert window.stacks == {"a;b": 6}
-        assert window.samples == later.samples - earlier.samples
-        assert window.interval_s == pytest.approx(
-            window.duration_s / window.samples
-        )
-
     def test_merge_prefixes_by_part(self):
         a = self._profile({"f;g": 2})
         b = self._profile({"f;h": 3})

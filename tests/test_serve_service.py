@@ -404,38 +404,42 @@ class TestDistributedTracing:
         assert "serve.request" in text and "worker.forward" in text
 
 
+def _shifted_articles(tag, n=120):
+    """``n`` articles with distinct ids (about half per shard at two
+    shards) and one narrow text: every prediction lands in one class and
+    one confidence bin, far from the training baseline."""
+    return [
+        ArticleRequest(f"{tag}_{i}", "secret rigged hoax conspiracy scandal")
+        for i in range(n)
+    ]
+
+
 class TestDriftDegradation:
     @pytest.fixture(scope="class")
     def drifting_service(self, checkpoint):
         svc = PredictionService(
             checkpoint, workers=2, shards=2, max_wait=0.001,
-            drift_baseline="auto", drift_threshold=0.05, drift_min_samples=1,
+            drift_baseline="auto",
         )
         with svc:
             yield svc
 
-    def test_shifted_stream_degrades_healthz(self, drifting_service,
-                                             shard_articles):
-        # A narrow repeated stream concentrates the predicted-class and
-        # confidence histograms far from the training baseline.
-        for _ in range(4):
+    def test_shifted_stream_is_measured_not_judged(self, drifting_service):
+        # Without an SLO monitor nothing decides drift: the workers'
+        # window divergences are reported, and the pool stays healthy.
+        for r in range(3):
             status, _, _ = _post(
-                drifting_service.url, _payload(shard_articles)
+                drifting_service.url, _payload(_shifted_articles(f"m{r}"))
             )
             assert status == 200
-        deadline = time.monotonic() + 30.0
-        while time.monotonic() < deadline:
-            drift = drifting_service.drift_status()
-            if drift and any(s.get("breached") for s in drift.values()):
-                break
-            time.sleep(0.05)
         code, body = _get(drifting_service.url, "/v1/healthz")
         health = json.loads(body)
-        assert code == 503
-        assert health["status"] == "degraded"
-        assert health["drift"]["breached_shards"]
-        shard_state = next(iter(health["drift"]["shards"].values()))
-        assert shard_state["class_psi"] is not None
+        assert code == 200
+        assert health["status"] == "ok"
+        assert set(health["drift"]) == {"shards"}
+        for shard_state in health["drift"]["shards"].values():
+            assert shard_state["class_psi"] is not None
+            assert "breached" not in shard_state
 
     def test_drift_gauges_reach_metrics_endpoint(self, drifting_service):
         code, body = _get(drifting_service.url, "/metrics")
@@ -452,28 +456,74 @@ class TestDriftDegradation:
     def drifting_slo_service(self, checkpoint):
         svc = PredictionService(
             checkpoint, workers=2, shards=2, max_wait=0.001,
-            drift_baseline="auto", drift_threshold=0.05, drift_min_samples=1,
+            drift_baseline="auto",
         )
         svc.slo = SloMonitor(
-            default_serving_rules(drift_psi=0.05),
+            default_serving_rules(drift_psi=0.25),
             registry=svc.metrics.registry,
         )
         with svc:
             yield svc
 
-    def test_drift_psi_rule_breaches_slo(self, drifting_slo_service,
-                                         shard_articles):
-        # The collector feeds each worker's drift summary to the rule's
-        # class-PSI signal before it answers the request.
-        for _ in range(4):
+    def test_drift_psi_rule_breaches_slo(self, drifting_slo_service):
+        # The collector feeds each worker's drift PSI to the rule's
+        # signal before it answers the request.
+        for r in range(3):
             status, _, _ = _post(
-                drifting_slo_service.url, _payload(shard_articles)
+                drifting_slo_service.url, _payload(_shifted_articles(f"s{r}"))
             )
             assert status == 200
         code, body = _get(drifting_slo_service.url, "/v1/healthz")
         health = json.loads(body)
         assert code == 503
         assert health["slo"]["breached"] == ["drift_psi"]
+        assert set(health["drift"]) == {"shards"}
+
+    def test_one_excursion_logs_one_breach_event(self, checkpoint, capfd):
+        """One drift verdict: the SLO monitor's edge event, and nothing
+        under ``obs.drift`` from the front end or the worker (a forked
+        worker writes to the same fd 2 that ``capfd`` captures)."""
+        svc = PredictionService(
+            checkpoint, workers=1, max_wait=0.001, drift_baseline="auto",
+        )
+        svc.slo = SloMonitor(
+            default_serving_rules(drift_psi=0.25),
+            registry=svc.metrics.registry,
+        )
+        with svc:
+            for r in range(4):
+                status, _, _ = _post(
+                    svc.url, _payload(_shifted_articles(f"e{r}", n=60))
+                )
+                assert status == 200
+            assert svc.slo.breached_rules == ["drift_psi"]
+        err = capfd.readouterr().err
+        breaches = [line for line in err.splitlines() if "breach" in line]
+        assert len(breaches) == 1, err
+        assert "obs.slo.breach" in breaches[0]
+        assert "rule=drift_psi" in breaches[0]
+        assert "obs.drift" not in err
+
+
+class TestCacheCounters:
+    def test_metrics_count_worker_cache_lookups(self, service):
+        def counts():
+            _, body = _get(service.url, "/metrics")
+            samples = {s.name: s.value for s in parse_prometheus(body)}
+            return (samples["repro_serve_cache_hits_total"],
+                    samples["repro_serve_cache_misses_total"])
+
+        hits_before, misses_before = counts()
+        for r in range(3):
+            batch = [
+                ArticleRequest(f"cache{r}_{i}", "census report data percent")
+                for i in range(8)
+            ]
+            status, _, _ = _post(service.url, _payload(batch))
+            assert status == 200
+        hits, misses = counts()
+        assert hits > hits_before
+        assert (hits - hits_before) + (misses - misses_before) == 24
 
 
 class TestLatencyAccounting:
@@ -537,11 +587,11 @@ class TestSloDegradation:
         assert "slo" not in json.loads(body)
 
 
-class TestContinuousProfiling:
+class TestProfiling:
     @pytest.fixture(scope="class")
     def profiled_service(self, checkpoint):
         svc = PredictionService(
-            checkpoint, workers=2, shards=2, max_wait=0.001, profile_hz=250,
+            checkpoint, workers=2, shards=2, max_wait=0.001,
         )
         with svc:
             yield svc
@@ -606,8 +656,8 @@ class TestContinuousProfiling:
 
     def test_unarmed_service_still_captures_on_demand(self, service,
                                                       shard_articles):
-        # The module fixture runs without profile_hz: the capture spins up
-        # temporary samplers in every process for just the window.
+        # The capture spins up samplers in every process for just the
+        # window.
         import threading
 
         stop = threading.Event()
@@ -622,11 +672,10 @@ class TestContinuousProfiling:
             stop.set()
             driver.join(30.0)
         assert profile.samples > 0
-        assert profile.meta["continuous"] is False
         assert {s.split(";")[0] for s in profile.stacks} \
             == {"frontend", "shard0", "shard1"}
-        # Afterwards the workers' temporary samplers are stopped again: a
-        # fresh snapshot request reports no armed profiler.
+        # Afterwards the workers' samplers are stopped again: a fresh
+        # snapshot request reports no running sampler.
         deadline = time.monotonic() + 10.0
         while time.monotonic() < deadline:
             if all(
@@ -813,7 +862,7 @@ class TestDrainBatch:
         assert leftover == []
         assert elapsed >= 0.05
 
-    @pytest.mark.parametrize("control", [("stop",), ("profile_start", 100.0)])
+    @pytest.mark.parametrize("control", [("stop",), ("profile_start",)])
     def test_control_message_ends_batch_and_is_requeued(self, control):
         after = _predict_message("r3", 1)
         batch, leftover, elapsed = self._drain(

@@ -256,3 +256,57 @@ class TestUnifiedSurface:
 
         assert not hasattr(session_mod, "_warn_deprecated")
         assert not hasattr(session_mod, "_DEPRECATION_WARNED")
+
+
+class TestAttentionPooling:
+    """A checkpoint trained with ``aggregation="attention"`` is served
+    subject states pooled by its own attention aggregator, not a mean."""
+
+    def test_served_logits_pool_with_the_model_aggregator(
+        self, tiny_dataset, tiny_split, tmp_path
+    ):
+        from repro.autograd import no_tape
+        from repro.core.pipeline import with_explicit_dtype
+        from repro.core.predictions import predictions_from_logits
+
+        config = FakeDetectorConfig(
+            epochs=2, explicit_dim=24, vocab_size=400, max_seq_len=10,
+            embed_dim=4, rnn_hidden=6, latent_dim=4, gdu_hidden=8, seed=0,
+            aggregation="attention",
+        )
+        FakeDetector(config).fit(tiny_dataset, tiny_split).save(tmp_path / "ckpt")
+        detector = FakeDetector.load(tmp_path / "ckpt")
+        subjects = sorted(detector.features.subjects.index)
+        creators = sorted(detector.features.creators.index)
+        texts = [a.text for a in tiny_dataset.articles.values()]
+        articles = [
+            ArticleRequest(f"att_{i}", texts[i % len(texts)],
+                           creators[i % len(creators)],
+                           [subjects[(i + k) % len(subjects)] for k in range(3)])
+            for i in range(12)
+        ]
+        served = InferenceSession(detector).predict(articles, return_proba=True)
+
+        model = detector.model
+        s_index = detector.features.subjects.index
+        c_index = detector.features.creators.index
+        owners = np.repeat(np.arange(len(articles)), 3)
+        rows = np.array([s_index[s] for a in articles for s in a.subject_ids])
+        with no_tape():
+            _, states = model.forward_with_states(
+                with_explicit_dtype(detector.features, model.dtype), detector.graph
+            )
+            z = model.agg_article_subjects(states["subject"], rows, owners, len(articles))
+            t = states["creator"].data[[c_index[a.creator_id] for a in articles]]
+            tokens = [tokenize(a.text) for a in articles]
+            explicit = detector.features.extractors["article"].transform(tokens)
+            sequences = encode_batch(tokens, detector.features.vocab, config.max_seq_len)
+            x = model.hflu_article(explicit.astype(model.dtype), sequences)
+            logits = model.head_article(model.gdu_article(x, z, Tensor(t))).data
+        mean_z = states["subject"].data[rows].reshape(len(articles), 3, -1).mean(axis=1)
+        assert not np.allclose(z.data, mean_z)  # the pooling choice matters here
+        expected = predictions_from_logits(
+            [a.article_id for a in articles], logits, return_proba=True
+        )
+        assert [p.proba.tobytes() for p in served] \
+            == [p.proba.tobytes() for p in expected]

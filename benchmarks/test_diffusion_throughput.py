@@ -87,7 +87,7 @@ def _clone_model(detector: FakeDetector) -> FakeDetectorModel:
     }
     model = FakeDetectorModel(
         config, rng=np.random.default_rng(config.seed),
-        explicit_dims=explicit_dims,
+        explicit_dims=explicit_dims, vocab_rows=len(detector.features.vocab),
     )
     model.load_state_dict(detector.model.state_dict())
     model.eval()

@@ -9,7 +9,7 @@ uses only these.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -17,54 +17,24 @@ from .tensor import Tensor
 
 
 __all__ = [
-    "Optimizer",
     "Adam",
     "clip_grad_norm",
     "global_grad_norm",
 ]
 
 
-class Optimizer:
-    """Base optimizer holding a list of parameters."""
+class Adam:
+    """Adam (Kingma & Ba 2015) with bias correction and optional weight decay.
 
-    def __init__(self, params: Iterable[Tensor], lr: float):
-        self.params = list(params)
-        if not self.params:
-            raise ValueError("optimizer received an empty parameter list")
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        self.lr = lr
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
-
-    def step(self) -> None:
-        raise NotImplementedError
-
-
-def _scratch_pairs(params) -> list:
-    """Two scratch arrays per parameter, shaped and typed like its data.
-
-    They are views of two buffers per dtype, sized for the largest
-    parameter of that dtype, so a step writes its intermediates without
-    allocating and without any per-step shape arithmetic.
+    The parameters are packed: construction copies them into one
+    contiguous buffer and rebinds each ``p.data`` to its view of it. The
+    gradient, the moments ``m`` and ``v`` and two scratch arrays are
+    buffers of the same length, and ``_m``, ``_v`` and ``_scratch`` hold
+    each parameter's views of them. ``Tensor.backward`` writes a packed
+    parameter's gradient into its view, so after a backward pass that
+    reaches every parameter, :meth:`step` runs once over the whole
+    buffers. Packing needs one dtype for all the parameters.
     """
-    widths: dict = {}
-    for p in params:
-        widths[p.data.dtype] = max(widths.get(p.data.dtype, 0), p.data.size)
-    buffers = {
-        dtype: (np.empty(width, dtype), np.empty(width, dtype))
-        for dtype, width in widths.items()
-    }
-    return [
-        tuple(buf[: p.data.size].reshape(p.data.shape) for buf in buffers[p.data.dtype])
-        for p in params
-    ]
-
-
-class Adam(Optimizer):
-    """Adam (Kingma & Ba 2015) with bias correction and optional weight decay."""
 
     def __init__(
         self,
@@ -74,52 +44,95 @@ class Adam(Optimizer):
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ):
-        super().__init__(params, lr)
+        self.params = list(params)
+        if not self.params:
+            raise ValueError("optimizer received an empty parameter list")
+        if lr <= 0:
+            raise ValueError(f"learning rate must be positive, got {lr}")
         beta1, beta2 = betas
         if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
             raise ValueError(f"betas must be in [0, 1), got {betas}")
+        dtypes = {p.data.dtype for p in self.params}
+        if len(dtypes) != 1:
+            raise ValueError(
+                f"Adam packs parameters of one dtype, got {sorted(map(str, dtypes))}"
+            )
+        self.lr = lr
         self.beta1, self.beta2 = beta1, beta2
         self.eps = eps
         self.weight_decay = weight_decay
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
-        self._scratch = _scratch_pairs(self.params)
         self._t = 0
+
+        (dtype,) = dtypes
+        size = sum(p.data.size for p in self.params)
+        self._data, self._grad = np.empty(size, dtype), np.zeros(size, dtype)
+        self._m_buf, self._v_buf = np.zeros(size, dtype), np.zeros(size, dtype)
+        self._a, self._b = np.empty(size, dtype), np.empty(size, dtype)
+
+        def views(buffer) -> list:
+            out, start = [], 0
+            for p in self.params:
+                out.append(buffer[start : start + p.data.size].reshape(p.data.shape))
+                start += p.data.size
+            return out
+
+        data, grads = views(self._data), views(self._grad)
+        for p, d, g in zip(self.params, data, grads):
+            d[...] = p.data
+            p.data = d
+            p._grad_view = g
+        self._packed = list(zip(self.params, data, grads))
+        self._m, self._v = views(self._m_buf), views(self._v_buf)
+        self._scratch = list(zip(views(self._a), views(self._b)))
+
+    def zero_grad(self) -> None:
+        for p in self.params:
+            p.zero_grad()
 
     def step(self) -> None:
         """One Adam update, with every intermediate written into scratch.
 
-        The operations and their order are those of the textbook form
-        ``p -= lr * (m / bias1) / (sqrt(v / bias2) + eps)`` with
-        ``v += ((1 - beta2) * g) * g``, so the result is the same bit for
-        bit; only the temporaries are gone.
+        When every parameter's data and gradient are still its views, the
+        update runs once over the whole buffers. Otherwise (a caller
+        rebound or cleared a gradient, or rebound ``.data``) it runs once
+        per parameter on its current ``.data`` and ``.grad``, skipping
+        ``None`` gradients. Both apply the same elementwise sequence, so
+        they give the same bits.
         """
         self._t += 1
         bias1 = 1.0 - self.beta1 ** self._t
         bias2 = 1.0 - self.beta2 ** self._t
-        beta1, beta2 = self.beta1, self.beta2
-        keep1, keep2 = 1.0 - beta1, 1.0 - beta2
-        lr, eps, decay = self.lr, self.eps, self.weight_decay
+        if all(p.grad is g and p.data is d for p, d, g in self._packed):
+            self._update(self._data, self._grad, self._m_buf, self._v_buf,
+                         self._a, self._b, bias1, bias2)
+            return
         for p, m, v, (a, b) in zip(self.params, self._m, self._v, self._scratch):
-            grad = p.grad
-            if grad is None:
-                continue
-            if decay:
-                grad = grad + decay * p.data
-            m *= beta1
-            np.multiply(grad, keep1, out=a)
-            m += a
-            v *= beta2
-            np.multiply(grad, keep2, out=a)
-            a *= grad
-            v += a
-            np.divide(m, bias1, out=a)
-            np.divide(v, bias2, out=b)
-            np.sqrt(b, out=b)
-            b += eps
-            a *= lr
-            a /= b
-            p.data -= a
+            if p.grad is not None:
+                self._update(p.data, p.grad, m, v, a, b, bias1, bias2)
+
+    def _update(self, data, grad, m, v, a, b, bias1: float, bias2: float) -> None:
+        """``data -= lr * (m / bias1) / (sqrt(v / bias2) + eps)`` in place.
+
+        The operations and their order are those of the textbook form with
+        ``v += ((1 - beta2) * g) * g``, so the result is the same bit for
+        bit; only the temporaries are gone.
+        """
+        if self.weight_decay:
+            grad = grad + self.weight_decay * data
+        m *= self.beta1
+        np.multiply(grad, 1.0 - self.beta1, out=a)
+        m += a
+        v *= self.beta2
+        np.multiply(grad, 1.0 - self.beta2, out=a)
+        a *= grad
+        v += a
+        np.divide(m, bias1, out=a)
+        np.divide(v, bias2, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a *= self.lr
+        a /= b
+        data -= a
 
 
 def global_grad_norm(params: Iterable[Tensor]) -> float:
@@ -133,9 +146,10 @@ def clip_grad_norm(params: Iterable[Tensor], max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most ``max_norm``.
 
     Returns the pre-clipping norm. Essential for the unrolled GRU over long
-    articles, where gradients otherwise explode. Scaling rebinds ``p.grad``
-    to a new array, so a gradient array the caller supplied is never
-    mutated.
+    articles, where gradients otherwise explode. A gradient that is its
+    parameter's packed view (see :class:`Adam`) is scaled in place; any
+    other is rebound to a new array, so a gradient array the caller
+    supplied is never mutated.
     """
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")
@@ -144,5 +158,8 @@ def clip_grad_norm(params: Iterable[Tensor], max_norm: float) -> float:
     if total > max_norm and total > 0:
         scale = max_norm / total
         for p in params:
-            p.grad = p.grad * scale
+            if p.grad is p._grad_view:
+                p.grad *= scale
+            else:
+                p.grad = p.grad * scale
     return total

@@ -50,6 +50,11 @@ class FakeDetectorModel(Module):
         discriminative words than ``config.explicit_dim``, so the realized
         widths come from the feature pipeline. Defaults to
         ``config.explicit_dim`` for every type.
+    vocab_rows:
+        Rows of each HFLU embedding table: the fitted vocabulary's size,
+        pad and unk included (``len(features.vocab)``), so no row is one
+        that no token can gather. Defaults to ``config.vocab_size + 2``,
+        the most a fitted vocabulary can hold.
     """
 
     def __init__(
@@ -57,16 +62,24 @@ class FakeDetectorModel(Module):
         config: FakeDetectorConfig,
         rng: Optional[np.random.Generator] = None,
         explicit_dims: Optional[Dict[str, int]] = None,
+        vocab_rows: Optional[int] = None,
     ):
         super().__init__()
         self.config = config
         rng = rng or np.random.default_rng(config.seed)
         if explicit_dims is None:
             explicit_dims = {k: config.explicit_dim for k in ("article", "creator", "subject")}
+        full_rows = config.vocab_size + 2  # +2 for pad/unk specials
+        if vocab_rows is None:
+            vocab_rows = full_rows
+        if not 0 < vocab_rows <= full_rows:
+            raise ValueError(
+                f"vocab_rows must be in [1, {full_rows}], got {vocab_rows}"
+            )
 
         def make_hflu() -> HFLU:
-            return HFLU(
-                vocab_size=config.vocab_size + 2,  # +2 for pad/unk specials
+            hflu = HFLU(
+                vocab_size=full_rows,
                 embed_dim=config.embed_dim,
                 rnn_hidden=config.rnn_hidden,
                 latent_dim=config.latent_dim,
@@ -75,6 +88,14 @@ class FakeDetectorModel(Module):
                 use_latent=config.use_latent_features,
                 rnn_cell=config.rnn_cell,
             )
+            if hflu.encoder is not None and vocab_rows < full_rows:
+                # Draw the table at full size and keep its first rows: the
+                # RNG stream is then unchanged, and so is every other
+                # initial value (and every kept row).
+                table = hflu.encoder.embedding
+                table.weight.data = table.weight.data[:vocab_rows].copy()
+                table.num_embeddings = vocab_rows
+            return hflu
 
         def feature_dim(kind: str) -> int:
             dim = 0

@@ -144,7 +144,10 @@ class FakeDetector:
             "creator": self.features.creators.explicit.shape[1],
             "subject": self.features.subjects.explicit.shape[1],
         }
-        self.model = FakeDetectorModel(config, rng=rng, explicit_dims=explicit_dims)
+        self.model = FakeDetectorModel(
+            config, rng=rng, explicit_dims=explicit_dims,
+            vocab_rows=len(self.features.vocab),
+        )
         # One cast per fit; every step's HFLU then receives float32 as is.
         self.features = with_explicit_dtype(self.features, self.model.dtype)
 

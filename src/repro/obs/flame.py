@@ -40,6 +40,7 @@ brings up a fresh sampler that counts only the child's own stacks.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import math
 import sys
@@ -396,7 +397,18 @@ class SamplingProfiler:
                 self.sample_errors += 1
 
     def _sample_once(self, own_ident: int) -> None:
-        frames = sys._current_frames()
+        # ``sys._current_frames()`` holds the runtime's thread-list lock
+        # while it builds frame objects. A collection there whose
+        # finalizer releases the GIL lets another thread take the GIL and
+        # then block on that lock (starting or ending a thread), and the
+        # process deadlocks. So no collection may start inside the call.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            frames = sys._current_frames()
+        finally:
+            if collecting:
+                gc.enable()
         names = {t.ident: t.name for t in threading.enumerate()}
         rows: List[str] = []
         for ident, frame in frames.items():

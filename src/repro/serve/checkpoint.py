@@ -18,7 +18,9 @@ floats round-trip exactly through JSON. A loaded detector therefore
 reproduces bit-identical ``predict_logits`` output (asserted in
 tests/test_serve_checkpoint.py). Checkpoints of earlier builds stored
 float64; loading casts their weights to float32, and the serving session
-casts their features once.
+casts their features once. The embedding tables have the fitted
+vocabulary's rows; those of earlier builds have ``vocab_size + 2`` and load
+as stored, serving the same outputs.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
-from ..autograd import load_arrays, load_state, save_arrays, save_state
+from ..autograd import load_arrays, save_arrays, save_state
 from ..core.config import FakeDetectorConfig
 from ..core.pipeline import EntityFeatures, GraphIndex, PipelineOutput
 from ..text.features import BagOfWordsExtractor
@@ -160,12 +162,17 @@ def load_detector(path: PathLike) -> "FakeDetector":
     detector = FakeDetector(config)
     detector.features = features
     detector.graph = graph
+    state = load_arrays(path / _MODEL)
+    # The tables have the fitted vocabulary's rows; older checkpoints keep
+    # all ``vocab_size + 2``. Either way the stored table says how many.
+    table = state.get("hflu_article.encoder.embedding.weight")
     detector.model = FakeDetectorModel(
         config,
         explicit_dims={
             kind: features.by_type(kind).explicit.shape[1] for kind in _KINDS
         },
+        vocab_rows=None if table is None else table.shape[0],
     )
-    load_state(detector.model, path / _MODEL)
+    detector.model.load_state_dict(state)
     detector.model.eval()
     return detector

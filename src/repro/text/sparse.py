@@ -16,7 +16,7 @@ pipeline needs, not a general sparse-algebra library.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -26,10 +26,11 @@ class CsrMatrix:
 
     Invariants: ``indices[indptr[i]:indptr[i+1]]`` are the strictly
     increasing column ids of row ``i`` (duplicates pre-aggregated) and
-    ``values`` holds the matching entries.
+    ``values`` holds the matching entries. ``row_ids``, the expanded row
+    id per non-zero, is built once (from ``indptr`` unless given).
     """
 
-    __slots__ = ("indptr", "indices", "values", "shape")
+    __slots__ = ("indptr", "indices", "values", "shape", "_row_ids")
 
     def __init__(
         self,
@@ -37,11 +38,15 @@ class CsrMatrix:
         indices: np.ndarray,
         values: np.ndarray,
         shape: tuple,
+        row_ids: Optional[np.ndarray] = None,
     ):
         self.indptr = indptr
         self.indices = indices
         self.values = values
         self.shape = shape
+        if row_ids is None:
+            row_ids = np.repeat(np.arange(shape[0], dtype=np.intp), np.diff(indptr))
+        self._row_ids = row_ids
 
     @property
     def nnz(self) -> int:
@@ -49,8 +54,7 @@ class CsrMatrix:
 
     def row_ids(self) -> np.ndarray:
         """Expanded row id per stored non-zero (the COO row vector)."""
-        n = self.shape[0]
-        return np.repeat(np.arange(n, dtype=np.intp), np.diff(self.indptr))
+        return self._row_ids
 
     # ------------------------------------------------------------------
     def scale_columns(self, weights: np.ndarray) -> "CsrMatrix":
@@ -116,4 +120,6 @@ def csr_from_token_docs(
     row_of, indices = np.divmod(keys, dim)
     indptr = np.zeros(len(hits) + 1, dtype=np.intp)
     np.cumsum(np.bincount(row_of, minlength=len(hits)), out=indptr[1:])
-    return CsrMatrix(indptr, indices, counts.astype(np.float64), (len(hits), dim))
+    return CsrMatrix(
+        indptr, indices, counts.astype(np.float64), (len(hits), dim), row_of
+    )

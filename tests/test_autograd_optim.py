@@ -56,6 +56,11 @@ class TestAdam:
             optim.Adam([], lr=0.1)
         with pytest.raises(ValueError):
             optim.Adam([Tensor([1.0], requires_grad=True)], lr=-1)
+        with pytest.raises(ValueError, match="one dtype"):
+            optim.Adam([
+                Tensor(np.ones(2, np.float32), requires_grad=True),
+                Tensor(np.ones(2), requires_grad=True),
+            ])
 
 
 class TestClipGradNorm:

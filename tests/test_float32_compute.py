@@ -163,7 +163,8 @@ def test_float64_module_stays_float64(fitted):
     """A FakeDetectorModel cast to float64 computes and trains in float64."""
     detector, _ = fitted
     model = FakeDetectorModel(
-        detector.config, explicit_dims=explicit_dims(detector)
+        detector.config, explicit_dims=explicit_dims(detector),
+        vocab_rows=len(detector.features.vocab),
     ).astype(np.float64)
     model.load_state_dict(detector.model.state_dict())
     features = with_explicit_dtype(detector.features, np.float64)
@@ -198,7 +199,8 @@ def test_minibatch_step_agrees_across_dtypes(fitted):
 
     def step(dtype):
         model = FakeDetectorModel(
-            detector.config, explicit_dims=explicit_dims(detector)
+            detector.config, explicit_dims=explicit_dims(detector),
+            vocab_rows=len(detector.features.vocab),
         ).astype(dtype)
         model.load_state_dict(state)
         features = with_explicit_dtype(sub, dtype)

@@ -501,7 +501,8 @@ class TestTrainingEquivalence:
         }
         features = with_explicit_dtype(detector.features, np.float64)
         model = FakeDetectorModel(
-            config, rng=np.random.default_rng(0), explicit_dims=explicit_dims
+            config, rng=np.random.default_rng(0), explicit_dims=explicit_dims,
+            vocab_rows=len(detector.features.vocab),
         ).astype(np.float64)
         model.load_state_dict(state)
         model.eval()

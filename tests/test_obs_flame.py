@@ -2,8 +2,11 @@
 
 import json
 import multiprocessing
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,7 +80,66 @@ class TestTags:
         assert current_tags() == ()
 
 
+#: A sampler at 2 kHz while threads that keep calling a fresh frame start
+#: and exit, at most 8 alive, and a self-renewing cyclic object whose
+#: finalizer releases the GIL. A collection inside ``sys._current_frames()``
+#: that runs the finalizer lets the main thread take the GIL and block in
+#: ``Thread.start`` on the lock the sampler holds. faulthandler's watchdog
+#: runs without the GIL: it exits 1 with every thread's stack once the
+#: main loop has stalled for 2 s.
+_DEADLOCK_STRESS = """
+import faulthandler, os, sys, threading, time
+sys.path.insert(0, sys.argv[1])
+from repro.obs.flame import SamplingProfiler
+
+renew = True
+
+class Finalized:
+    def __init__(self):
+        self.cycle = self
+
+    def __del__(self):
+        time.sleep(0)
+        if renew:
+            Finalized()
+
+def tick():
+    time.sleep(0.0001)
+
+def short():
+    for _ in range(20):
+        tick()
+
+Finalized()
+profiler = SamplingProfiler(interval=1 / 2000).start()
+beat = 0.0
+deadline = time.monotonic() + 4.0
+while time.monotonic() < deadline:
+    if time.monotonic() - beat > 0.25:
+        faulthandler.dump_traceback_later(2.0, exit=True)
+        beat = time.monotonic()
+    if threading.active_count() < 10:
+        threading.Thread(target=short).start()
+    else:
+        time.sleep(0.0001)
+profiler.stop()
+faulthandler.cancel_dump_traceback_later()
+renew = False
+print(profiler.snapshot().samples, flush=True)
+os._exit(0)
+"""
+
+
 class TestSamplingProfiler:
+    def test_no_deadlock_with_thread_churn_and_gil_releasing_finalizers(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", _DEADLOCK_STRESS, "src"],
+            cwd=Path(__file__).resolve().parents[1],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr[-4000:]
+        assert int(proc.stdout) > 0
+
     def test_samples_busy_thread_with_tags(self):
         profiler = SamplingProfiler(interval=0.002)
         with profiler:

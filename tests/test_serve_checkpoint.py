@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from repro.autograd import load_arrays, save_arrays
 from repro.core import FakeDetector, FakeDetectorConfig
-from repro.serve import CHECKPOINT_FORMAT, load_detector, save_detector
+from repro.serve import CHECKPOINT_FORMAT, InferenceSession, load_detector, save_detector
 from repro.text import BagOfWordsExtractor, Vocabulary
 
 
@@ -81,6 +82,60 @@ class TestRoundTrip:
             np.testing.assert_array_equal(
                 restored.predict_logits()[kind], without.predict_logits()[kind]
             )
+
+
+TABLES = [f"hflu_{kind}.encoder.embedding.weight" for kind in ("article", "creator", "subject")]
+
+
+class TestVocabularyTables:
+    def test_tables_have_the_fitted_vocabulary_rows(self, fitted, tmp_path):
+        detector, _ = fitted
+        rows = len(detector.features.vocab)
+        assert rows < detector.config.vocab_size + 2
+        params = dict(detector.model.named_parameters())
+        for name in TABLES:
+            assert params[name].shape == (rows, detector.config.embed_dim)
+        detector.save(tmp_path / "ckpt")
+        stored = load_arrays(tmp_path / "ckpt" / "model.npz")
+        for name in TABLES:
+            assert stored[name].shape == (rows, detector.config.embed_dim)
+
+    def test_full_vocabulary_tables_serve_the_same(self, fitted, tmp_path):
+        """Checkpoints of earlier builds keep all ``vocab_size + 2`` rows."""
+        from repro.data import Article, CredibilityLabel
+
+        detector, dataset = fitted
+        detector.save(tmp_path / "cut")
+        detector.save(tmp_path / "full")
+        state = load_arrays(tmp_path / "full" / "model.npz")
+        rng = np.random.default_rng(0)
+        full_rows = detector.config.vocab_size + 2
+        for name in TABLES:
+            table = state[name]
+            pad = rng.standard_normal((full_rows - len(table), table.shape[1]))
+            state[name] = np.concatenate([table, pad.astype(table.dtype)])
+        save_arrays(state, tmp_path / "full" / "model.npz")
+
+        cut, full = load_detector(tmp_path / "cut"), load_detector(tmp_path / "full")
+        assert dict(full.model.named_parameters())[TABLES[0]].shape[0] == full_rows
+        for kind in ("article", "creator", "subject"):
+            expected = cut.predict_logits()[kind]
+            assert full.predict_logits()[kind].tobytes() == expected.tobytes()
+        template = next(iter(dataset.articles.values()))
+        articles = [
+            Article("n1", "secret rigged hoax conspiracy", CredibilityLabel.FALSE,
+                    template.creator_id, template.subject_ids),
+            Article("n2", "census data report analysis", CredibilityLabel.TRUE,
+                    "ghost_creator", ["ghost_subject"]),
+        ]
+        served = [
+            InferenceSession(d).predict(articles, return_proba=True,
+                                        known_ids=[template.article_id])
+            for d in (cut, full)
+        ]
+        for a, b in zip(*served):
+            assert a.entity_id == b.entity_id
+            assert a.proba.tobytes() == b.proba.tobytes()
 
 
 class TestErrors:

@@ -14,6 +14,7 @@ from repro.autograd import Tensor, optim
 from repro.autograd import functional as F
 from repro.autograd.kernels import embedding_gather
 from repro.core import FakeDetector, FakeDetectorConfig
+from repro.core import trainer as trainer_module
 
 from tests import training_oracles as ref
 
@@ -193,6 +194,43 @@ class TestAdam:
             assert_same_bits(g, np.full(p.shape, 0.5))
 
 
+class TestPackedAdam:
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_whole_buffer_step_matches_temporaries_form(self, weight_decay):
+        fast_params, slow_params = make_params(seed=7), make_params(seed=7)
+        fast = optim.Adam(fast_params, lr=0.01, weight_decay=weight_decay)
+        slow = optim.Adam(slow_params, lr=0.01, weight_decay=weight_decay)
+        for step in range(6):
+            for params, opt in ((fast_params, fast), (slow_params, slow)):
+                opt.zero_grad()
+                loss = task_loss(params, seed=step) + F.l2_regularization(params, 0.1)
+                loss.backward()
+            # Every gradient is a view of one buffer that holds them all.
+            buffer = fast_params[0].grad.base
+            assert buffer.size == sum(p.size for p in fast_params)
+            for p in fast_params:
+                assert p.grad.base is buffer
+                assert p.grad.flags.c_contiguous
+            fast.step()
+            ref.adam_step(slow)
+        for p, q in zip(fast_params, slow_params):
+            assert_same_bits(p.data, q.data)
+        for a, b in zip(fast._m + fast._v, slow._m + slow._v):
+            assert_same_bits(a, b)
+
+    def test_second_backward_adds_into_the_view(self):
+        fast, slow = make_params(seed=2), make_params(seed=2)
+        optim.Adam(fast)
+        views = []
+        for _ in range(2):
+            task_loss(fast).backward()
+            views.append([p.grad for p in fast])
+            ref.tensor_backward(task_loss(slow))
+        for p, q, first, second in zip(fast, slow, *views):
+            assert first is second is p.grad
+            assert_same_bits(p.grad, q.grad)
+
+
 class TestGradNorm:
     def test_helper_matches_the_trainer_loop(self):
         params = make_params(seed=3)
@@ -264,3 +302,34 @@ def test_fit_matches_reference_step(overrides, tiny_dataset, tiny_split, monkeyp
     assert sorted(fast_state) == sorted(slow_state)
     for name in fast_state:
         assert_same_bits(fast_state[name], slow_state[name])
+
+
+@pytest.mark.parametrize(
+    "overrides", [dict(grad_clip=0.0), dict(grad_clip=0.0, batch_size=16)],
+    ids=["full_batch", "minibatch"],
+)
+def test_cut_tables_fit_like_full_tables(overrides, tiny_dataset, tiny_split, monkeypatch):
+    """Rows no token gathers take no part in an unclipped fit."""
+    config = FakeDetectorConfig(**TOY, **overrides)
+    cut = FakeDetector(config).fit(tiny_dataset, tiny_split)
+    model_class = trainer_module.FakeDetectorModel
+
+    def full_tables(*args, vocab_rows, **kwargs):
+        return model_class(*args, **kwargs)
+
+    monkeypatch.setattr(trainer_module, "FakeDetectorModel", full_tables)
+    full = FakeDetector(config).fit(tiny_dataset, tiny_split)
+    rows = len(cut.features.vocab)
+    assert rows < config.vocab_size + 2
+    tables = 0
+    for (name, p), (other, q) in zip(
+        cut.model.named_parameters(), full.model.named_parameters()
+    ):
+        assert name == other
+        expected = q.data
+        if name.endswith("embedding.weight"):
+            assert q.shape[0] == config.vocab_size + 2
+            expected = q.data[:rows]
+            tables += 1
+        assert_same_bits(p.data, expected)
+    assert tables == 3

@@ -122,6 +122,7 @@ class TestTrainingStepBench:
                 "creator": features.creators.explicit.shape[1],
                 "subject": features.subjects.explicit.shape[1],
             },
+            vocab_rows=len(features.vocab),
         )
         optimizer = optim.Adam(list(model.parameters()), lr=0.01)
         labels = features.articles.labels

@@ -51,6 +51,7 @@ def _epoch_seconds(scale: float) -> tuple:
             "creator": features.creators.explicit.shape[1],
             "subject": features.subjects.explicit.shape[1],
         },
+        vocab_rows=len(features.vocab),
     )
     optimizer = optim.Adam(list(model.parameters()), lr=0.01)
     start = time.perf_counter()

@@ -117,12 +117,11 @@ class Module:
         """Cast every parameter to ``dtype`` in place; returns ``self``.
 
         Gradients are dropped: one computed in the old dtype no longer
-        matches its parameter. So is a packed gradient view (see
-        :class:`repro.autograd.optim.Adam`), which has the old dtype.
+        matches its parameter.
         """
         for param in self.parameters():
             param.data = param.data.astype(dtype)
-            param.grad = param._grad_view = None
+            param.grad = None
         return self
 
 

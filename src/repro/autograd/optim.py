@@ -27,13 +27,11 @@ class Adam:
     """Adam (Kingma & Ba 2015) with bias correction and optional weight decay.
 
     The parameters are packed: construction copies them into one
-    contiguous buffer and rebinds each ``p.data`` to its view of it. The
-    gradient, the moments ``m`` and ``v`` and two scratch arrays are
-    buffers of the same length, and ``_m``, ``_v`` and ``_scratch`` hold
-    each parameter's views of them. ``Tensor.backward`` writes a packed
-    parameter's gradient into its view, so after a backward pass that
-    reaches every parameter, :meth:`step` runs once over the whole
-    buffers. Packing needs one dtype for all the parameters.
+    contiguous buffer and rebinds each ``p.data`` to its view of it. A
+    gradient buffer, the moments ``m`` and ``v`` and two scratch arrays
+    have the same length, and ``_m``, ``_v`` and ``_scratch`` hold each
+    parameter's views of them. Packing needs one dtype for all the
+    parameters.
     """
 
     def __init__(
@@ -65,7 +63,7 @@ class Adam:
 
         (dtype,) = dtypes
         size = sum(p.data.size for p in self.params)
-        self._data, self._grad = np.empty(size, dtype), np.zeros(size, dtype)
+        self._data, self._grad = np.empty(size, dtype), np.empty(size, dtype)
         self._m_buf, self._v_buf = np.zeros(size, dtype), np.zeros(size, dtype)
         self._a, self._b = np.empty(size, dtype), np.empty(size, dtype)
 
@@ -76,12 +74,10 @@ class Adam:
                 start += p.data.size
             return out
 
-        data, grads = views(self._data), views(self._grad)
-        for p, d, g in zip(self.params, data, grads):
-            d[...] = p.data
-            p.data = d
-            p._grad_view = g
-        self._packed = list(zip(self.params, data, grads))
+        self._packed = list(zip(self.params, views(self._data), views(self._grad)))
+        for p, data, _ in self._packed:
+            data[...] = p.data
+            p.data = data
         self._m, self._v = views(self._m_buf), views(self._v_buf)
         self._scratch = list(zip(views(self._a), views(self._b)))
 
@@ -92,17 +88,20 @@ class Adam:
     def step(self) -> None:
         """One Adam update, with every intermediate written into scratch.
 
-        When every parameter's data and gradient are still its views, the
-        update runs once over the whole buffers. Otherwise (a caller
-        rebound or cleared a gradient, or rebound ``.data``) it runs once
-        per parameter on its current ``.data`` and ``.grad``, skipping
-        ``None`` gradients. Both apply the same elementwise sequence, so
-        they give the same bits.
+        While every parameter has a gradient and its ``.data`` is still
+        its view, the gradients are copied into the gradient buffer and
+        the update runs once over the whole buffers. Otherwise (a
+        gradient is ``None``, or ``load_state_dict`` rebound ``.data``)
+        it runs once per parameter on its current ``.data`` and
+        ``.grad``, skipping ``None`` gradients. Both apply the same
+        elementwise sequence, so they give the same bits.
         """
         self._t += 1
         bias1 = 1.0 - self.beta1 ** self._t
         bias2 = 1.0 - self.beta2 ** self._t
-        if all(p.grad is g and p.data is d for p, d, g in self._packed):
+        if all(p.grad is not None and p.data is data for p, data, _ in self._packed):
+            for p, _, grad in self._packed:
+                np.copyto(grad, p.grad)
             self._update(self._data, self._grad, self._m_buf, self._v_buf,
                          self._a, self._b, bias1, bias2)
             return
@@ -146,10 +145,9 @@ def clip_grad_norm(params: Iterable[Tensor], max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most ``max_norm``.
 
     Returns the pre-clipping norm. Essential for the unrolled GRU over long
-    articles, where gradients otherwise explode. A gradient that is its
-    parameter's packed view (see :class:`Adam`) is scaled in place; any
-    other is rebound to a new array, so a gradient array the caller
-    supplied is never mutated.
+    articles, where gradients otherwise explode. Scaling rebinds ``p.grad``
+    to a new array, so a gradient array the caller supplied is never
+    mutated.
     """
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")
@@ -158,8 +156,5 @@ def clip_grad_norm(params: Iterable[Tensor], max_norm: float) -> float:
     if total > max_norm and total > 0:
         scale = max_norm / total
         for p in params:
-            if p.grad is p._grad_view:
-                p.grad *= scale
-            else:
-                p.grad = p.grad * scale
+            p.grad = p.grad * scale
     return total

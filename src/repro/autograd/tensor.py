@@ -223,11 +223,9 @@ class Tensor:
 
     # __weakref__ lets observers (the repro.obs.memory profiler) track node
     # lifetimes without extending them; it costs one pointer per tensor.
-    # _grad_view is a packed parameter's slice of its optimizer's gradient
-    # buffer (see repro.autograd.optim.Adam); backward writes into it.
     __slots__ = (
         "data", "requires_grad", "grad", "_parents", "_backward", "name",
-        "_grad_view", "__weakref__",
+        "__weakref__",
     )
 
     def __init__(
@@ -244,7 +242,6 @@ class Tensor:
         self._parents = _parents
         self._backward = _backward
         self.name = name
-        self._grad_view: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -622,24 +619,14 @@ class Tensor:
         # terms are added in place, and a leaf keeps it without a copy when
         # it is C-ordered (a copy would be). Only real non-0-d ndarrays
         # qualify: numpy returns 0-d sums as immutable ``np.float64``.
-        # A packed parameter's gradient is copied into its view instead (C
-        # order, -0.0 kept, as a copy would), and a second backward before
-        # ``zero_grad`` adds into that view in place.
         owned: set[int] = set()
         for node in reversed(topo):
             key = id(node)
             node_grad = grads.pop(key, None)
             if node_grad is None:
                 continue
-            view = node._grad_view
             if node.grad is not None:
-                if node.grad is view:
-                    view += node_grad
-                else:
-                    node.grad = node.grad + node_grad
-            elif view is not None:
-                np.copyto(view, node_grad)
-                node.grad = view
+                node.grad = node.grad + node_grad
             elif (
                 node._backward is None
                 and key in owned

@@ -398,31 +398,33 @@ class SamplingProfiler:
 
     def _sample_once(self, own_ident: int) -> None:
         # ``sys._current_frames()`` holds the runtime's thread-list lock
-        # while it builds frame objects. A collection there whose
-        # finalizer releases the GIL lets another thread take the GIL and
-        # then block on that lock (starting or ending a thread), and the
-        # process deadlocks. So no collection may start inside the call.
+        # while it builds frame objects, and ``_fold``'s ``f_back`` walk
+        # builds more. A collection in either whose finalizer releases
+        # the GIL lets other threads run: one that then starts or ends a
+        # thread blocks on the lock the sampler holds (a deadlock), and
+        # one that unwinds the stack being walked may leave the walk on a
+        # dead frame. So no collection may start while a sample is taken.
         collecting = gc.isenabled()
         gc.disable()
         try:
             frames = sys._current_frames()
+            names = {t.ident: t.name for t in threading.enumerate()}
+            rows: List[str] = []
+            for ident, frame in frames.items():
+                if ident == own_ident:
+                    continue
+                stack = self._fold(frame)
+                if not stack:
+                    continue
+                parts = [names.get(ident, f"thread-{ident}")]
+                tags = _TAGS.get(ident)
+                if tags:
+                    parts.extend(tuple(tags))
+                parts.extend(stack)
+                rows.append(SEP.join(parts))
         finally:
             if collecting:
                 gc.enable()
-        names = {t.ident: t.name for t in threading.enumerate()}
-        rows: List[str] = []
-        for ident, frame in frames.items():
-            if ident == own_ident:
-                continue
-            stack = self._fold(frame)
-            if not stack:
-                continue
-            parts = [names.get(ident, f"thread-{ident}")]
-            tags = _TAGS.get(ident)
-            if tags:
-                parts.extend(tuple(tags))
-            parts.extend(stack)
-            rows.append(SEP.join(parts))
         with self._lock:
             for row in rows:
                 self._counts[row] = self._counts.get(row, 0) + 1

@@ -16,7 +16,7 @@ pipeline needs, not a general sparse-algebra library.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -26,8 +26,8 @@ class CsrMatrix:
 
     Invariants: ``indices[indptr[i]:indptr[i+1]]`` are the strictly
     increasing column ids of row ``i`` (duplicates pre-aggregated) and
-    ``values`` holds the matching entries. ``row_ids``, the expanded row
-    id per non-zero, is built once (from ``indptr`` unless given).
+    ``values`` holds the matching entries. ``row_ids`` is the expanded
+    row id per non-zero, which the builder already has, so it is kept.
     """
 
     __slots__ = ("indptr", "indices", "values", "shape", "_row_ids")
@@ -38,14 +38,12 @@ class CsrMatrix:
         indices: np.ndarray,
         values: np.ndarray,
         shape: tuple,
-        row_ids: Optional[np.ndarray] = None,
+        row_ids: np.ndarray,
     ):
         self.indptr = indptr
         self.indices = indices
         self.values = values
         self.shape = shape
-        if row_ids is None:
-            row_ids = np.repeat(np.arange(shape[0], dtype=np.intp), np.diff(indptr))
         self._row_ids = row_ids
 
     @property

@@ -86,7 +86,8 @@ class TestTags:
 #: that runs the finalizer lets the main thread take the GIL and block in
 #: ``Thread.start`` on the lock the sampler holds. faulthandler's watchdog
 #: runs without the GIL: it exits 1 with every thread's stack once the
-#: main loop has stalled for 2 s.
+#: main loop has stalled for 5 s, far longer than a slow machine stalls
+#: it; a deadlock never ends.
 _DEADLOCK_STRESS = """
 import faulthandler, os, sys, threading, time
 sys.path.insert(0, sys.argv[1])
@@ -116,7 +117,7 @@ beat = 0.0
 deadline = time.monotonic() + 4.0
 while time.monotonic() < deadline:
     if time.monotonic() - beat > 0.25:
-        faulthandler.dump_traceback_later(2.0, exit=True)
+        faulthandler.dump_traceback_later(5.0, exit=True)
         beat = time.monotonic()
     if threading.active_count() < 10:
         threading.Thread(target=short).start()

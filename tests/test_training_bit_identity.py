@@ -200,35 +200,24 @@ class TestPackedAdam:
         fast_params, slow_params = make_params(seed=7), make_params(seed=7)
         fast = optim.Adam(fast_params, lr=0.01, weight_decay=weight_decay)
         slow = optim.Adam(slow_params, lr=0.01, weight_decay=weight_decay)
+        for p in fast_params:
+            assert p.data.base is fast._data
         for step in range(6):
             for params, opt in ((fast_params, fast), (slow_params, slow)):
                 opt.zero_grad()
                 loss = task_loss(params, seed=step) + F.l2_regularization(params, 0.1)
                 loss.backward()
-            # Every gradient is a view of one buffer that holds them all.
-            buffer = fast_params[0].grad.base
-            assert buffer.size == sum(p.size for p in fast_params)
-            for p in fast_params:
-                assert p.grad.base is buffer
-                assert p.grad.flags.c_contiguous
             fast.step()
             ref.adam_step(slow)
+            # The step ran over the whole buffers: it copied every gradient
+            # of this backward into the one gradient buffer.
+            assert_same_bits(
+                fast._grad, np.concatenate([p.grad.ravel() for p in fast_params])
+            )
         for p, q in zip(fast_params, slow_params):
             assert_same_bits(p.data, q.data)
         for a, b in zip(fast._m + fast._v, slow._m + slow._v):
             assert_same_bits(a, b)
-
-    def test_second_backward_adds_into_the_view(self):
-        fast, slow = make_params(seed=2), make_params(seed=2)
-        optim.Adam(fast)
-        views = []
-        for _ in range(2):
-            task_loss(fast).backward()
-            views.append([p.grad for p in fast])
-            ref.tensor_backward(task_loss(slow))
-        for p, q, first, second in zip(fast, slow, *views):
-            assert first is second is p.grad
-            assert_same_bits(p.grad, q.grad)
 
 
 class TestGradNorm:
